@@ -24,10 +24,13 @@
 //! `--metrics` prints the process-wide metrics table to **stderr** when
 //! the run finishes, per-stage `pipeline.<stage>.{runs,wall_ns,artifacts}`
 //! included, grouped by determinism class — stdout stays the canonical,
-//! deterministic experiment output.
+//! deterministic experiment output. A reader that closes stdout early
+//! (`experiments list | head -1`) ends the run with exit 0; any other
+//! write error is one line on stderr and exit 1.
 
 use pd_bench::cli::CommonFlags;
 use pd_bench::{all_experiments, run_all, run_by_name};
+use std::io::{ErrorKind, Write};
 
 fn main() {
     let mut jobs: usize = 1;
@@ -60,30 +63,46 @@ fn main() {
         }
     }
 
-    match command.as_deref() {
+    let written = write_output(command.as_deref(), jobs, &mut std::io::stdout().lock());
+    common.finish();
+    match written {
+        // A reader that stops early (`experiments list | head -1`) has
+        // taken all it wanted.
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("experiments: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+        _ => {}
+    }
+}
+
+/// Runs `command` and writes its output to `out`, stopping at the first
+/// write error.
+fn write_output(command: Option<&str>, jobs: usize, out: &mut impl Write) -> std::io::Result<()> {
+    match command {
         None | Some("list") => {
-            println!("physnet experiments (see EXPERIMENTS.md):\n");
+            writeln!(out, "physnet experiments (see EXPERIMENTS.md):\n")?;
             for (name, desc, _) in all_experiments() {
-                println!("  {name:<4} {desc}");
+                writeln!(out, "  {name:<4} {desc}")?;
             }
-            println!(
+            writeln!(
+                out,
                 "\nusage: experiments <e1..e20 | all> [--jobs N] [--metrics] \
                  [--spec-timeout DUR] [--deadline DUR] [--retries N]"
-            );
+            )?;
         }
         Some("all") => {
             for (_, report) in run_all(jobs) {
-                println!("\n{}\n{}", "═".repeat(72), report);
+                writeln!(out, "\n{}\n{}", "═".repeat(72), report)?;
             }
         }
         Some(name) => match run_by_name(name) {
-            Some(report) => println!("{report}"),
+            Some(report) => writeln!(out, "{report}")?,
             None => {
                 eprintln!("unknown experiment {name:?}; try `experiments list`");
                 std::process::exit(2);
             }
         },
     }
-
-    common.finish();
+    out.flush()
 }

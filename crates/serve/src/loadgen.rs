@@ -185,28 +185,24 @@ pub fn render_tier_table(tiers: &[TierStatus]) -> String {
     out
 }
 
-/// The canonical comparison form of a response: its JSON with the `id`
-/// removed (ids differ per request by design), re-serialized through
+/// The canonical comparison form of a parsed response: its JSON with the
+/// `id` removed (ids differ per request by design), re-serialized through
 /// the sorted-key [`Value`] so field order can never alias a real
 /// difference.
-pub fn canonical_body(response_line: &str) -> Result<String, String> {
-    let mut v: Value = response_line.parse().map_err(|e| format!("{e}"))?;
-    if let Some(obj) = v.as_object_mut() {
+pub fn canonical_body(mut response: Value) -> String {
+    if let Some(obj) = response.as_object_mut() {
         obj.remove("id");
     }
-    Ok(v.to_string())
+    response.to_string()
 }
 
-/// Whether a response line is a load-dependent rejection (excluded from
+/// Whether a parsed response is a load-dependent rejection (excluded from
 /// the byte-identity record).
-fn is_rejection(line: &str) -> bool {
-    match line.parse::<Value>() {
-        Ok(v) => v
-            .get("error")
-            .and_then(Value::as_str)
-            .is_some_and(|e| e.starts_with(ERR_OVERLOADED) || e.starts_with(ERR_SHUTTING_DOWN)),
-        Err(_) => false,
-    }
+fn is_rejection(response: &Value) -> bool {
+    response
+        .get("error")
+        .and_then(Value::as_str)
+        .is_some_and(|e| e.starts_with(ERR_OVERLOADED) || e.starts_with(ERR_SHUTTING_DOWN))
 }
 
 /// The deterministic spec stream for one connection.
@@ -357,15 +353,16 @@ fn drive_connection(cfg: &LoadgenConfig, conn: usize, tally: &Mutex<Tally>) -> s
             ));
         };
         let elapsed = sent_at.elapsed();
+        let response = line.parse::<Value>();
 
         let mut t = tally.lock().expect("tally lock");
-        if is_rejection(&line) {
+        if response.as_ref().is_ok_and(is_rejection) {
             t.rejected += 1;
             continue;
         }
         t.latencies.push(elapsed);
-        let ok = line
-            .parse::<Value>()
+        let ok = response
+            .as_ref()
             .ok()
             .and_then(|v| v.get("ok").and_then(Value::as_bool))
             .unwrap_or(false);
@@ -374,8 +371,8 @@ fn drive_connection(cfg: &LoadgenConfig, conn: usize, tally: &Mutex<Tally>) -> s
         } else {
             t.eval_errors += 1;
         }
-        match canonical_body(&line) {
-            Ok(body) => t.record_body(&label, body),
+        match response {
+            Ok(response) => t.record_body(&label, canonical_body(response)),
             Err(e) => t
                 .mismatches
                 .push(format!("spec {label}: unparseable response: {e}")),
@@ -408,14 +405,15 @@ mod tests {
 
     #[test]
     fn canonical_body_strips_id_and_sorts_keys() {
-        let a = canonical_body(r#"{"id":"x","ok":true,"report":null}"#).unwrap();
-        let b = canonical_body(r#"{"report":null,"ok":true,"id":999}"#).unwrap();
+        let a = canonical_body(r#"{"id":"x","ok":true,"report":null}"#.parse().unwrap());
+        let b = canonical_body(r#"{"report":null,"ok":true,"id":999}"#.parse().unwrap());
         assert_eq!(a, b, "id and key order must not distinguish bodies");
         assert!(!a.contains("id"));
     }
 
     #[test]
     fn rejections_are_recognized_by_prefix() {
+        let is_rejection = |line: &str| is_rejection(&line.parse().unwrap());
         assert!(is_rejection(
             r#"{"id":1,"ok":false,"error":"overloaded: pending queue at capacity (8); retry later"}"#
         ));

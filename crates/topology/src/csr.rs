@@ -15,21 +15,28 @@
 //!   `HashMap<SwitchId, …>`.
 //! * [`Scratch`]: every reusable buffer the kernels need (distance rows,
 //!   frontier ring, flow accumulators, the ECMP kernel's alive-only
-//!   adjacency and shortest-path DAG, residual capacities, component
-//!   marks). [`with_scratch`] checks buffers out of a thread-local pool so
-//!   batch workers stop reallocating BFS state on every call.
+//!   adjacency, 64-destination sweep words and shortest-path DAG,
+//!   residual capacities, component marks). [`with_scratch`] checks
+//!   buffers out of a thread-local pool so batch workers stop
+//!   reallocating BFS state on every call.
 //! * [`Masks`]: alive/dead bits per switch and link, so degraded states
 //!   are evaluated by masking the shared healthy [`CsrNet`] instead of
 //!   cloning the `Network` and removing elements. [`ecmp_evaluate`]
 //!   applies the masks once per call, compacting the alive adjacency, so
-//!   its per-destination BFS checks no masks.
-//! * ECMP in one adjacency pass per destination: the BFS from a
-//!   destination records its shortest-path DAG as it goes, and the flow
-//!   split walks that DAG instead of rescanning every switch's adjacency.
+//!   its BFS checks no masks.
+//! * ECMP from one bit-parallel BFS per 64 destinations: each switch holds
+//!   one `u64` of "reached by destination `j`" bits, and each level ORs
+//!   the neighbours' frontier words over the adjacency, so one pass per
+//!   level advances all 64 searches. The level words give every
+//!   destination's distance row and, per adjacency entry, the destinations
+//!   it goes downhill for; each destination's shortest-path DAG is read
+//!   off those bits, and the flow split walks the DAG instead of
+//!   rescanning every switch's adjacency.
 //! * Goodness's healthy routing in one pass ([`uniform_healthy`]): the
 //!   ECMP loop over the uniform host matrix also reads each destination's
-//!   row for the host distances and the diameter, and every other switch
-//!   gets one BFS for the diameter. No all-pairs rows, no demand list.
+//!   row for the host distances and the diameter, and the other switches
+//!   are swept 64 at a time for the diameter. No all-pairs rows, no demand
+//!   list.
 //!
 //! Every kernel runs on its caller's thread. Parallelism belongs to the
 //! batch engine, which spreads whole designs over its worker pool.
@@ -303,14 +310,15 @@ fn link_ok(alive: Option<&Masks>, l: u32) -> bool {
 /// are then reused allocation-free. Obtain one via [`with_scratch`] (the
 /// pooled path) or [`Scratch::default`] (owned).
 ///
-/// Besides the distance, frontier and flow buffers, the ECMP kernels keep
-/// two structures here: the alive-only adjacency a masked
-/// [`ecmp_evaluate`] compacts once per call (`alive_offsets` /
-/// `alive_targets`, laid out like [`CsrNet`]'s), and the current
+/// Besides the frontier and flow buffers, the ECMP kernels keep three
+/// structures here: the alive-only adjacency a masked [`ecmp_evaluate`]
+/// compacts once per call (`alive_offsets` / `alive_targets`, laid out
+/// like [`CsrNet`]'s), the bit-parallel BFS of up to 64 destinations
+/// (`sweep`: per-switch reach and frontier words, per-entry downhill
+/// words, and the destinations' distance rows), and the current
 /// destination's shortest-path DAG (`dag`).
 #[derive(Debug, Default)]
 pub struct Scratch {
-    dist: Vec<u16>,
     frontier: Vec<u32>,
     inflow: Vec<f64>,
     load: Vec<f64>,
@@ -319,6 +327,7 @@ pub struct Scratch {
     starts: Vec<u32>,
     alive_offsets: Vec<u32>,
     alive_targets: Vec<(u32, u32)>,
+    sweep: Sweep,
     dag: Dag,
     residual: Vec<i32>,
     visited: Vec<bool>,
@@ -545,11 +554,12 @@ fn compact_alive<'a>(
     Adjacency { offsets, targets }
 }
 
-/// One destination's shortest-path DAG: for every switch, its downhill
-/// edges `(neighbor, link)` — the links to neighbours one hop closer to
-/// the destination. Each switch's edges sit together in `edges`, at the
-/// `(start, len)` span `span` gives it; `edges` is as long as the
-/// adjacency, so every entry has a slot.
+/// The shortest-path DAG toward one destination of a [`Sweep`], the one
+/// [`Dag::record`] last took: for every switch, its downhill edges
+/// `(neighbor, link)` — the links to neighbours one hop closer to that
+/// destination. Each switch's edges sit together in `edges`, at the `(start, len)` span
+/// `span` gives it; `edges` is as long as the adjacency, so every entry
+/// has a slot.
 #[derive(Debug, Default)]
 struct Dag {
     span: Vec<(u32, u32)>,
@@ -557,10 +567,22 @@ struct Dag {
 }
 
 impl Dag {
-    fn reset(&mut self, n: usize, entries: usize) {
-        self.span.clear();
-        self.span.resize(n, (0, 0));
-        self.edges.resize(entries, (0, 0));
+    /// Records the DAG toward the sweep's destination `j`: each switch's
+    /// entries whose `downhill` bit `j` is set, in adjacency order. Each
+    /// entry is written, and kept by advancing past it only if its bit is
+    /// set, so the walk has no branch to mispredict.
+    fn record(&mut self, adj: Adjacency<'_>, downhill: &[u64], j: usize) {
+        self.span.resize(adj.offsets.len() - 1, (0, 0));
+        self.edges.resize(adj.targets.len(), (0, 0));
+        let mut kept = 0usize;
+        for (span, w) in self.span.iter_mut().zip(adj.offsets.windows(2)) {
+            let (start, entries) = (kept, w[0] as usize..w[1] as usize);
+            for (&edge, &down) in adj.targets[entries.clone()].iter().zip(&downhill[entries]) {
+                self.edges[kept] = edge;
+                kept += (down >> j & 1) as usize;
+            }
+            *span = (start as u32, (kept - start) as u32);
+        }
     }
 
     /// The downhill edges `(neighbor, link)` of `u`.
@@ -570,39 +592,124 @@ impl Dag {
     }
 }
 
-/// BFS from `dst` over `adj`, which holds alive entries only, so nothing
-/// is mask-checked. Fills `dist` with hop counts to `dst` and records the
-/// shortest-path DAG on the way. When `u` is scanned, every switch one hop
-/// closer to `dst` already has its distance, so the neighbours at
-/// `dist[u] - 1` met in that scan are all of `u`'s downhill edges, and
-/// they land together in the DAG. Each entry is written, and kept by
-/// advancing past it only if it goes downhill: about half the entries do,
-/// in no pattern a branch predictor could learn.
-fn bfs_dag(adj: Adjacency<'_>, dst: u32, dist: &mut [u16], frontier: &mut Vec<u32>, dag: &mut Dag) {
-    dist.fill(UNREACHABLE);
-    kernel_metrics().bfs_runs.incr();
-    dag.reset(dist.len(), adj.targets.len());
-    dist[dst as usize] = 0;
-    frontier.clear();
-    frontier.push(dst);
-    let mut head = 0usize;
-    let mut kept = 0usize;
-    while head < frontier.len() {
-        let u = frontier[head];
-        head += 1;
-        let du = dist[u as usize];
-        let start = kept;
-        for &(v, l) in adj.of(u) {
-            let dv = dist[v as usize];
-            if dv == UNREACHABLE {
-                dist[v as usize] = du + 1;
-                frontier.push(v);
-            }
-            // An unreached `dv` wraps to 0, which only `dst` itself has.
-            dag.edges[kept] = (v, l);
-            kept += usize::from(du > 0 && dv.wrapping_add(1) == du);
+/// Most destinations one [`Sweep`] reaches at once: one bit of a `u64`
+/// each.
+const SWEEP_WIDTH: usize = 64;
+
+/// A level-synchronous, bit-parallel BFS from up to [`SWEEP_WIDTH`]
+/// destinations at once. Bit `j` of a switch's word stands for the
+/// sweep's `j`-th destination.
+#[derive(Debug, Default)]
+struct Sweep {
+    /// Per switch: the destinations that have reached it.
+    reached: Vec<u64>,
+    /// Per switch: the destinations it is exactly `level` hops from.
+    frontier: Vec<u64>,
+    /// Per switch: the destinations it is `level + 1` hops from.
+    next: Vec<u64>,
+    /// Per adjacency entry `u → v`: the destinations `u` is one hop
+    /// farther from than `v`, that is, those the entry goes downhill for.
+    downhill: Vec<u64>,
+    /// Distance rows, `n` per destination: row `j` holds every switch's
+    /// hop count to destination `j`.
+    rows: Vec<u16>,
+}
+
+impl Sweep {
+    /// Runs the sweep from `dsts` over `adj`, which holds alive entries
+    /// only, so nothing is mask-checked. Each level ORs every switch's
+    /// neighbours' frontier words, which advances every destination by one
+    /// hop in one pass over the adjacency; a switch every destination has
+    /// reached is skipped. The bits a switch gains at a level give its
+    /// distance-row entries, and ANDed with each neighbour's frontier word,
+    /// the destinations that neighbour is downhill for. Records one
+    /// `kernel.csr.bfs_runs` tick per destination (one per distance row).
+    /// Returns the largest finite distance in any row.
+    fn run(&mut self, adj: Adjacency<'_>, dsts: impl ExactSizeIterator<Item = u32>) -> u16 {
+        let k = dsts.len();
+        debug_assert!((1..=SWEEP_WIDTH).contains(&k));
+        kernel_metrics().bfs_runs.add(k as u64);
+        let n = adj.offsets.len() - 1;
+        let Sweep {
+            reached,
+            frontier,
+            next,
+            downhill,
+            rows,
+        } = self;
+        rows.clear();
+        rows.resize(k * n, UNREACHABLE);
+        frontier.clear();
+        frontier.resize(n, 0);
+        next.resize(n, 0);
+        downhill.clear();
+        downhill.resize(adj.targets.len(), 0);
+        for (j, d) in dsts.enumerate() {
+            frontier[d as usize] |= 1 << j;
+            rows[j * n + d as usize] = 0;
         }
-        dag.span[u as usize] = (start as u32, (kept - start) as u32);
+        reached.clear();
+        reached.extend_from_slice(frontier);
+        let all = u64::MAX >> (SWEEP_WIDTH - k);
+        let mut level = 0u16;
+        loop {
+            let mut grew = false;
+            for u in 0..n {
+                next[u] = 0;
+                if reached[u] == all {
+                    continue;
+                }
+                let (lo, hi) = (adj.offsets[u] as usize, adj.offsets[u + 1] as usize);
+                let entries = &adj.targets[lo..hi];
+                let gained = entries
+                    .iter()
+                    .fold(0, |acc, &(v, _)| acc | frontier[v as usize])
+                    & !reached[u];
+                if gained == 0 {
+                    continue;
+                }
+                grew = true;
+                next[u] = gained;
+                reached[u] |= gained;
+                for (&(v, _), down) in entries.iter().zip(&mut downhill[lo..hi]) {
+                    *down |= gained & frontier[v as usize];
+                }
+                let mut bits = gained;
+                while bits != 0 {
+                    rows[bits.trailing_zeros() as usize * n + u] = level + 1;
+                    bits &= bits - 1;
+                }
+            }
+            if !grew {
+                return level;
+            }
+            level += 1;
+            std::mem::swap(frontier, next);
+        }
+    }
+
+    /// The distance row of the sweep's destination `j`.
+    fn row(&self, j: usize) -> &[u16] {
+        let n = self.reached.len();
+        &self.rows[j * n..(j + 1) * n]
+    }
+}
+
+/// Calls `f` on the items of `items` in runs of up to [`SWEEP_WIDTH`], in
+/// order, with no allocation.
+fn in_sweeps<T: Copy + Default>(items: impl IntoIterator<Item = T>, mut f: impl FnMut(&[T])) {
+    let mut items = items.into_iter();
+    let mut run = [T::default(); SWEEP_WIDTH];
+    loop {
+        let mut k = 0;
+        for item in items.by_ref().take(SWEEP_WIDTH) {
+            run[k] = item;
+            k += 1;
+        }
+        if k == 0 {
+            return;
+        }
+        f(&run[..k]);
     }
 }
 
@@ -686,11 +793,12 @@ fn ecmp_process_dst(dst: u32, dist: &[u16], sources: &[(u32, f64)], scratch: &mu
 ///
 /// With masks, the alive adjacency is first compacted into `scratch`
 /// (adjacency order kept), once per call. Destinations are then processed
-/// in increasing index order with one BFS each over that alive-only
-/// adjacency, which also records the destination's shortest-path DAG, so
-/// the split walks the DAG instead of rescanning the adjacency. Every
-/// float accumulation follows index order, so the result is byte-stable
-/// across processes and job counts.
+/// in increasing index order, 64 at a time: one bit-parallel BFS over that
+/// alive-only adjacency gives their distance rows and the bits each
+/// destination's shortest-path DAG is read from, so the split walks the
+/// DAG instead of rescanning the adjacency. Every float accumulation
+/// follows index order, so the result is byte-stable across processes and
+/// job counts.
 pub fn ecmp_evaluate(
     csr: &CsrNet,
     demands: &IndexedDemands,
@@ -717,27 +825,33 @@ pub fn ecmp_evaluate(
     ecmp_outcome(csr, alive, &scratch.load, routable)
 }
 
-/// The loop every ECMP kernel runs: zero the loads, then for each
-/// `(dst, sources)` group in the order given, one [`bfs_dag`] from `dst`
-/// over `adj`, a look at the distance row by `visit`, and the split.
+/// The loop every ECMP kernel runs: zero the loads, then take the
+/// `(dst, sources)` groups in the order given, [`SWEEP_WIDTH`] at a time.
+/// One [`Sweep`] over `adj` gives every group's distance row and DAG; then,
+/// group by group, the DAG is recorded, `visit` looks at the row and the
+/// split runs. Returns the largest finite distance in any row.
 fn ecmp_per_destination<'s>(
     csr: &CsrNet,
     adj: Adjacency<'_>,
     groups: impl IntoIterator<Item = (u32, &'s [(u32, f64)])>,
     scratch: &mut Scratch,
     mut visit: impl FnMut(u32, &[u16], &[(u32, f64)]),
-) {
+) -> u16 {
     kernel_metrics().ecmp_runs.incr();
     scratch.load.resize(csr.link_count(), 0.0);
     scratch.load.fill(0.0);
-    scratch.dist.resize(csr.switch_count(), UNREACHABLE);
-    let mut dist = std::mem::take(&mut scratch.dist);
-    for (dst, sources) in groups {
-        bfs_dag(adj, dst, &mut dist, &mut scratch.frontier, &mut scratch.dag);
-        visit(dst, &dist, sources);
-        ecmp_process_dst(dst, &dist, sources, scratch);
-    }
-    scratch.dist = dist;
+    let mut sweep = std::mem::take(&mut scratch.sweep);
+    let mut depth = 0u16;
+    in_sweeps(groups, |run| {
+        depth = depth.max(sweep.run(adj, run.iter().map(|&(dst, _)| dst)));
+        for (j, &(dst, sources)) in run.iter().enumerate() {
+            scratch.dag.record(adj, &sweep.downhill, j);
+            visit(dst, sweep.row(j), sources);
+            ecmp_process_dst(dst, sweep.row(j), sources, scratch);
+        }
+    });
+    scratch.sweep = sweep;
+    depth
 }
 
 /// What [`uniform_healthy`] measures in its one pass.
@@ -755,16 +869,16 @@ pub struct HealthyRouting {
     pub host_pairs: u64,
 }
 
-/// The healthy network's uniform-traffic routing and distances in one BFS
-/// per switch, with no all-pairs rows and no demand list.
+/// The healthy network's uniform-traffic routing and distances from one
+/// distance row per switch, with no all-pairs rows and no demand list.
 ///
 /// Host switches are the destinations, in increasing index order, so the
 /// loop is [`ecmp_evaluate`]'s on the uniform matrix
 /// ([`IndexedDemands::uniform`] at 1 Gbps), with one source list of every
 /// host shared by all destinations (the split skips a destination's own
 /// entry). Each destination's row also adds its host distances to
-/// `host_hops` and its largest distance to the diameter. The other
-/// switches then get one [`bfs_fill`] each, for the diameter only. Loads,
+/// `host_hops`, and the loop's deepest row feeds the diameter. The other
+/// switches are then swept 64 at a time, for the diameter only. Loads,
 /// outcome and distances equal those of `ecmp_evaluate` and of folds over
 /// [`all_pairs_dist`], bit for bit.
 pub fn uniform_healthy(csr: &CsrNet, scratch: &mut Scratch) -> HealthyRouting {
@@ -772,9 +886,8 @@ pub fn uniform_healthy(csr: &CsrNet, scratch: &mut Scratch) -> HealthyRouting {
     let sources: Vec<(u32, f64)> = hosts.iter().map(|&h| (h, 1.0)).collect();
     let groups = hosts.iter().map(|&h| (h, sources.as_slice()));
     let adj = csr.full_adjacency();
-    let (mut diameter, mut host_hops, mut host_pairs) = (0u16, 0u64, 0u64);
-    ecmp_per_destination(csr, adj, groups, scratch, |dst, dist, _| {
-        diameter = diameter.max(row_max(dist));
+    let (mut host_hops, mut host_pairs) = (0u64, 0u64);
+    let mut diameter = ecmp_per_destination(csr, adj, groups, scratch, |dst, dist, _| {
         for &h in &hosts {
             let d = dist[h as usize];
             if h != dst && d != UNREACHABLE {
@@ -783,29 +896,16 @@ pub fn uniform_healthy(csr: &CsrNet, scratch: &mut Scratch) -> HealthyRouting {
             }
         }
     });
-    let mut dist = std::mem::take(&mut scratch.dist);
-    for u in 0..csr.switch_count() as u32 {
-        if csr.switch_server_ports(u) == 0 {
-            bfs_fill(csr, u, None, scratch, &mut dist);
-            diameter = diameter.max(row_max(&dist));
-        }
-    }
-    scratch.dist = dist;
+    let others = (0..csr.switch_count() as u32).filter(|&u| csr.switch_server_ports(u) == 0);
+    in_sweeps(others, |run| {
+        diameter = diameter.max(scratch.sweep.run(adj, run.iter().copied()));
+    });
     HealthyRouting {
         ecmp: ecmp_outcome(csr, None, &scratch.load, host_pairs as usize),
         diameter,
         host_hops,
         host_pairs,
     }
-}
-
-/// Largest finite distance in a BFS row (0 if there is none).
-fn row_max(dist: &[u16]) -> u16 {
-    dist.iter()
-        .copied()
-        .filter(|&d| d != UNREACHABLE)
-        .max()
-        .unwrap_or(0)
 }
 
 /// Sources other than `dst` itself that reach it (`dist` is the row to it).
@@ -1527,8 +1627,8 @@ pub(crate) mod tests {
     }
 
     /// The DAG kernel gives bit-identical loads and the same routable count
-    /// as the two-scan reference, on every family, healthy and under link
-    /// and switch masks.
+    /// and maximum utilization as the two-scan reference, on every family,
+    /// healthy and under link and switch masks.
     #[test]
     fn dag_ecmp_matches_the_two_scan_reference_bit_for_bit() {
         let mut scratch = Scratch::default();
@@ -1538,14 +1638,13 @@ pub(crate) mod tests {
                 let demands = IndexedDemands::build(&csr, &seeded_traffic(&net, seed));
                 for (what, masks) in equivalence_masks(&csr, seed) {
                     let case = format!("{name}, {what}, seed {seed}");
-                    let (want, want_routable) = reference_ecmp(&csr, &demands, masks.as_ref());
-                    let outcome = ecmp_evaluate(&csr, &demands, masks.as_ref(), &mut scratch);
-                    assert_eq!(
-                        bits(&take_loads(&csr, &scratch)),
-                        bits(&want),
-                        "{case}: loads"
+                    assert_ecmp_matches_reference(
+                        &case,
+                        &csr,
+                        &demands,
+                        masks.as_ref(),
+                        &mut scratch,
                     );
-                    assert_eq!(outcome.routable, want_routable, "{case}: routable");
                 }
             }
         }
@@ -1588,56 +1687,195 @@ pub(crate) mod tests {
     }
 
     /// The one healthy pass equals what it replaced, on every
-    /// [`uniform_fixtures`] network: the loads bit for bit against the
-    /// two-scan split over [`all_pairs_dist`] rows of the uniform matrix,
-    /// the outcome against the fold of those loads, and the diameter and
-    /// host hop sum and count against folds of the rows.
+    /// [`uniform_fixtures`] network: see [`assert_healthy_pass_matches`].
     #[test]
     fn uniform_healthy_matches_all_pairs_and_reference_ecmp() {
         let mut scratch = Scratch::default();
         for (name, net) in uniform_fixtures() {
-            let csr = CsrNet::build(&net);
-            let rows = all_pairs_dist(&csr);
-            let demands =
-                IndexedDemands::build(&csr, &TrafficMatrix::uniform_servers(&net, Gbps::new(1.0)));
-            let mut want = vec![0.0; csr.link_count()];
-            for (dst, sources) in &demands.by_dst {
-                reference_process_dst(&csr, *dst, &rows[*dst as usize], sources, None, &mut want);
-            }
-            let want_mlu = (0..csr.link_count())
-                .filter(|&l| csr.capacity[l] > 0.0 && want[l] > 0.0)
-                .map(|l| want[l] / csr.capacity[l])
-                .fold(0.0, f64::max);
-            let hosts = csr.host_switches();
-            let host_rows = hosts
-                .iter()
-                .flat_map(|&i| hosts.iter().map(move |&j| (i, j)));
-            let host_dists: Vec<u64> = host_rows
-                .filter(|&(i, j)| i != j && rows[i as usize][j as usize] != UNREACHABLE)
-                .map(|(i, j)| u64::from(rows[i as usize][j as usize]))
-                .collect();
+            assert_healthy_pass_matches(name, &net, &mut scratch);
+        }
+    }
 
-            let pass = uniform_healthy(&csr, &mut scratch);
-            assert_eq!(
-                bits(&take_loads(&csr, &scratch)),
-                bits(&want),
-                "{name}: loads"
-            );
-            assert_eq!(
-                pass.ecmp.max_utilization.to_bits(),
-                want_mlu.to_bits(),
-                "{name}: max utilization"
-            );
-            // Every connected pair of distinct hosts is a routable demand.
-            assert_eq!(pass.ecmp.routable, host_dists.len(), "{name}: routable");
-            let diameter = rows.iter().flatten().filter(|&&d| d != UNREACHABLE).max();
-            assert_eq!(pass.diameter, *diameter.unwrap_or(&0), "{name}: diameter");
-            assert_eq!(
-                pass.host_hops,
-                host_dists.iter().sum::<u64>(),
-                "{name}: hop sum"
-            );
-            assert_eq!(pass.host_pairs, host_dists.len() as u64, "{name}: pairs");
+    /// [`uniform_healthy`] on `net` against what it replaced: the loads bit
+    /// for bit against the two-scan split over [`all_pairs_dist`] rows of
+    /// the uniform matrix, the outcome against the fold of those loads, and
+    /// the diameter and host hop sum and count against folds of the rows.
+    fn assert_healthy_pass_matches(name: &str, net: &Network, scratch: &mut Scratch) {
+        let csr = CsrNet::build(net);
+        let rows = all_pairs_dist(&csr);
+        let demands =
+            IndexedDemands::build(&csr, &TrafficMatrix::uniform_servers(net, Gbps::new(1.0)));
+        let mut want = vec![0.0; csr.link_count()];
+        for (dst, sources) in &demands.by_dst {
+            reference_process_dst(&csr, *dst, &rows[*dst as usize], sources, None, &mut want);
+        }
+        let hosts = csr.host_switches();
+        let host_rows = hosts
+            .iter()
+            .flat_map(|&i| hosts.iter().map(move |&j| (i, j)));
+        let host_dists: Vec<u64> = host_rows
+            .filter(|&(i, j)| i != j && rows[i as usize][j as usize] != UNREACHABLE)
+            .map(|(i, j)| u64::from(rows[i as usize][j as usize]))
+            .collect();
+
+        let pass = uniform_healthy(&csr, scratch);
+        assert_eq!(
+            bits(&take_loads(&csr, scratch)),
+            bits(&want),
+            "{name}: loads"
+        );
+        assert_eq!(
+            pass.ecmp.max_utilization.to_bits(),
+            reference_mlu(&csr, None, &want).to_bits(),
+            "{name}: max utilization"
+        );
+        // Every connected pair of distinct hosts is a routable demand.
+        assert_eq!(pass.ecmp.routable, host_dists.len(), "{name}: routable");
+        let diameter = rows.iter().flatten().filter(|&&d| d != UNREACHABLE).max();
+        assert_eq!(pass.diameter, *diameter.unwrap_or(&0), "{name}: diameter");
+        assert_eq!(
+            pass.host_hops,
+            host_dists.iter().sum::<u64>(),
+            "{name}: hop sum"
+        );
+        assert_eq!(pass.host_pairs, host_dists.len() as u64, "{name}: pairs");
+    }
+
+    /// The largest load ÷ capacity over alive links with positive capacity
+    /// and load, folded from reference loads.
+    fn reference_mlu(csr: &CsrNet, alive: Option<&Masks>, load: &[f64]) -> f64 {
+        (0..csr.link_count())
+            .filter(|&l| link_ok(alive, l as u32) && csr.capacity[l] > 0.0 && load[l] > 0.0)
+            .map(|l| load[l] / csr.capacity[l])
+            .fold(0.0, f64::max)
+    }
+
+    /// [`ecmp_evaluate`] against [`reference_ecmp`]: loads bit for bit,
+    /// `routable`, and `max_utilization` against the fold of the reference
+    /// loads.
+    fn assert_ecmp_matches_reference(
+        case: &str,
+        csr: &CsrNet,
+        demands: &IndexedDemands,
+        masks: Option<&Masks>,
+        scratch: &mut Scratch,
+    ) {
+        let (want, want_routable) = reference_ecmp(csr, demands, masks);
+        let outcome = ecmp_evaluate(csr, demands, masks, scratch);
+        assert_eq!(
+            bits(&take_loads(csr, scratch)),
+            bits(&want),
+            "{case}: loads"
+        );
+        assert_eq!(outcome.routable, want_routable, "{case}: routable");
+        assert_eq!(
+            outcome.max_utilization.to_bits(),
+            reference_mlu(csr, masks, &want).to_bits(),
+            "{case}: max utilization"
+        );
+    }
+
+    /// A ring of `hosts` host switches (two server ports each) followed by
+    /// `transit` switches without servers, with seeded chords and a second,
+    /// parallel link beside every seventh ring link: enough destinations to
+    /// fill 64-destination sweeps and spill out of them.
+    fn sweep_net(hosts: usize, transit: usize) -> Network {
+        let n = hosts + transit;
+        let mut servers = vec![2u16; hosts];
+        servers.resize(n, 0);
+        let mut links: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        links.extend((0..n).step_by(7).map(|i| (i, (i + 1) % n)));
+        let mut rng = crate::gen::SplitMix64::new(n as u64);
+        for _ in 0..n / 2 {
+            let (a, b) = (rng.below(n), rng.below(n));
+            if a != b {
+                links.push((a, b));
+            }
+        }
+        small_net("sweep", &servers, &links)
+    }
+
+    /// Host counts at and around the 64-destination sweep width, and one
+    /// with more switches without servers than one sweep takes.
+    fn sweep_fixtures() -> Vec<(String, Network)> {
+        [(1, 4), (63, 3), (64, 3), (65, 3), (66, 70), (130, 6)]
+            .into_iter()
+            .map(|(hosts, transit)| (format!("{hosts} hosts"), sweep_net(hosts, transit)))
+            .collect()
+    }
+
+    /// Across sweep boundaries (1, 63, 64, 65, 66 and 130 host
+    /// destinations; 70 switches without servers) the healthy pass and
+    /// healthy ECMP equal the references bit for bit.
+    #[test]
+    fn healthy_kernels_match_references_across_sweep_boundaries() {
+        let mut scratch = Scratch::default();
+        for (name, net) in sweep_fixtures() {
+            assert_healthy_pass_matches(&name, &net, &mut scratch);
+            let csr = CsrNet::build(&net);
+            let demands = IndexedDemands::build(&csr, &seeded_traffic(&net, 5));
+            assert_ecmp_matches_reference(&name, &csr, &demands, None, &mut scratch);
+        }
+    }
+
+    /// Masked ECMP equals the masked reference bit for bit across sweep
+    /// boundaries: dead host switches inside a sweep (so the alive
+    /// destinations of 66 and 130 hosts number 65, 64, 63, 129 and 127),
+    /// with and without their links; every link between the two halves of
+    /// the ring cut; and a seeded 10% of links down.
+    #[test]
+    fn masked_ecmp_matches_the_reference_across_sweep_boundaries() {
+        let mut scratch = Scratch::default();
+        let mut alive_counts = Vec::new();
+        for (name, net) in sweep_fixtures() {
+            let csr = CsrNet::build(&net);
+            let n = csr.switch_count() as u32;
+            let hosts = csr.host_switches();
+            let demands = IndexedDemands::build(&csr, &seeded_traffic(&net, 7));
+            let mut cases: Vec<(String, Masks)> = Vec::new();
+            let kill_sets: &[&[usize]] = match hosts.len() {
+                66 => &[&[5], &[5, 30], &[5, 30, 50]],
+                130 => &[&[63], &[0, 63, 64]],
+                _ => &[],
+            };
+            for (kill, with_links) in kill_sets.iter().flat_map(|k| [(k, false), (k, true)]) {
+                let mut masks = Masks::healthy(&csr);
+                for &h in kill.iter() {
+                    masks.switch_alive[hosts[h] as usize] = false;
+                    if with_links {
+                        for &(_, l) in csr.adjacency(hosts[h]) {
+                            masks.link_alive[l as usize] = false;
+                        }
+                    }
+                }
+                cases.push((format!("hosts {kill:?} dead, links {with_links}"), masks));
+            }
+            let mut cut = Masks::healthy(&csr);
+            for l in 0..csr.link_count() as u32 {
+                let (a, b) = csr.link_ends(l);
+                cut.link_alive[l as usize] = (a < n / 2) == (b < n / 2);
+            }
+            cases.push(("cut in two".to_string(), cut));
+            let mut ids: Vec<u32> = (0..csr.link_count() as u32).collect();
+            crate::gen::SplitMix64::new(u64::from(n)).shuffle(&mut ids);
+            let mut random = Masks::healthy(&csr);
+            for &l in &ids[..csr.link_count().div_ceil(10)] {
+                random.link_alive[l as usize] = false;
+            }
+            cases.push(("10% links".to_string(), random));
+
+            for (what, masks) in &cases {
+                let alive = hosts
+                    .iter()
+                    .filter(|&&h| masks.switch_alive[h as usize])
+                    .count();
+                alive_counts.push(alive);
+                let case = format!("{name}, {what} ({alive} alive destinations)");
+                assert_ecmp_matches_reference(&case, &csr, &demands, Some(masks), &mut scratch);
+            }
+        }
+        for want in [1, 63, 64, 65, 129] {
+            assert!(alive_counts.contains(&want), "no case with {want}");
         }
     }
 

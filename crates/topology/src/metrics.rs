@@ -52,8 +52,9 @@ const DISJOINT_PAIRS: usize = 16;
 /// sampling, power iteration). `seed` drives the cut and pair sampling.
 ///
 /// Diameter, mean host distance and the ECMP throughput proxy all come
-/// from one [`csr::uniform_healthy`] pass: one BFS per switch, on the
-/// caller's thread.
+/// from one [`csr::uniform_healthy`] pass: one distance row per switch,
+/// from bit-parallel BFS sweeps of 64 switches each, on the caller's
+/// thread.
 pub fn goodness_on(net: &Network, view: &CsrNet, seed: u64) -> GoodnessReport {
     let pass = csr::with_scratch(|scratch| csr::uniform_healthy(view, scratch));
     let scale = pass.ecmp.throughput_scale();
