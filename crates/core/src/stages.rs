@@ -69,8 +69,8 @@ use pd_lifecycle::expansion::{
 use pd_lifecycle::faults::Injector;
 use pd_lifecycle::{LifecycleComplexity, RepairSimReport};
 use pd_physical::{Hall, Placement};
-use pd_topology::csr::CsrNet;
-use pd_topology::metrics::goodness_on;
+use pd_topology::csr::{self, CsrNet};
+use pd_topology::metrics::{failure_resilience_from, goodness_from};
 use pd_topology::{Network, SwitchRole};
 use pd_twin::{check_design, CapabilityEnvelope, DesignFacts, Severity};
 
@@ -923,17 +923,20 @@ impl<'a> StageState<'a> {
             Stage::Goodness => {
                 let view = self.shared_csr();
                 let net = need(&self.store.network);
+                // One healthy pass: its uniform ECMP is also resilience's
+                // baseline scale.
+                let pass = csr::with_scratch(|scratch| csr::uniform_healthy(&view, scratch));
                 let resilience = (spec.resilience_samples > 0).then(|| {
-                    pd_topology::metrics::failure_resilience_on(
-                        net,
+                    failure_resilience_from(
                         &view,
+                        pass.ecmp.throughput_scale(),
                         0.10,
                         spec.resilience_samples,
                         spec.seed,
                     )
                     .mean_retention
                 });
-                let good = goodness_on(net, &view, spec.seed);
+                let good = goodness_from(net, &view, &pass, spec.seed);
                 self.store.resilience = Some(resilience);
                 self.store.good = Some(Arc::new(good));
                 Ok(1)

@@ -15,8 +15,8 @@
 //!   `HashMap<SwitchId, …>`.
 //! * [`Scratch`]: every reusable buffer the kernels need (distance rows,
 //!   frontier ring, flow accumulators, the ECMP kernel's alive-only
-//!   adjacency, 64-destination sweep words and shortest-path DAG,
-//!   residual capacities, component marks). [`with_scratch`] checks
+//!   adjacency, 64-destination sweep words and bitmaps, residual
+//!   capacities, component marks). [`with_scratch`] checks
 //!   buffers out of a thread-local pool so batch workers stop
 //!   reallocating BFS state on every call.
 //! * [`Masks`]: alive/dead bits per switch and link, so degraded states
@@ -29,9 +29,11 @@
 //!   the neighbours' frontier words over the adjacency, so one pass per
 //!   level advances all 64 searches. The level words give every
 //!   destination's distance row and, per adjacency entry, the destinations
-//!   it goes downhill for; each destination's shortest-path DAG is read
-//!   off those bits, and the flow split walks the DAG instead of
-//!   rescanning every switch's adjacency.
+//!   it goes downhill for. A 64×64 bit transpose turns both kinds of
+//!   word into per-destination bitmaps, once per sweep: the switches at
+//!   each distance (the split's visiting order) and the downhill entries
+//!   (its shortest-path DAG), so the split reads a switch's downhill links
+//!   from one or two words instead of scanning its adjacency.
 //! * Goodness's healthy routing in one pass ([`uniform_healthy`]): the
 //!   ECMP loop over the uniform host matrix also reads each destination's
 //!   row for the host distances and the diameter, and the other switches
@@ -310,25 +312,21 @@ fn link_ok(alive: Option<&Masks>, l: u32) -> bool {
 /// are then reused allocation-free. Obtain one via [`with_scratch`] (the
 /// pooled path) or [`Scratch::default`] (owned).
 ///
-/// Besides the frontier and flow buffers, the ECMP kernels keep three
+/// Besides the frontier and flow buffers, the ECMP kernels keep two
 /// structures here: the alive-only adjacency a masked [`ecmp_evaluate`]
 /// compacts once per call (`alive_offsets` / `alive_targets`, laid out
-/// like [`CsrNet`]'s), the bit-parallel BFS of up to 64 destinations
-/// (`sweep`: per-switch reach and frontier words, per-entry downhill
-/// words, and the destinations' distance rows), and the current
-/// destination's shortest-path DAG (`dag`).
+/// like [`CsrNet`]'s), and the bit-parallel BFS of up to 64 destinations
+/// (`sweep`: per-switch reach and frontier words, the destinations'
+/// distance rows, and per destination, bitmaps of the switches at each
+/// distance and of the downhill adjacency entries).
 #[derive(Debug, Default)]
 pub struct Scratch {
     frontier: Vec<u32>,
     inflow: Vec<f64>,
     load: Vec<f64>,
-    order: Vec<u32>,
-    counts: Vec<u32>,
-    starts: Vec<u32>,
     alive_offsets: Vec<u32>,
     alive_targets: Vec<(u32, u32)>,
     sweep: Sweep,
-    dag: Dag,
     residual: Vec<i32>,
     visited: Vec<bool>,
     parent_switch: Vec<u32>,
@@ -554,62 +552,66 @@ fn compact_alive<'a>(
     Adjacency { offsets, targets }
 }
 
-/// The shortest-path DAG toward one destination of a [`Sweep`], the one
-/// [`Dag::record`] last took: for every switch, its downhill edges
-/// `(neighbor, link)` — the links to neighbours one hop closer to that
-/// destination. Each switch's edges sit together in `edges`, at the `(start, len)` span
-/// `span` gives it; `edges` is as long as the adjacency, so every entry
-/// has a slot.
-#[derive(Debug, Default)]
-struct Dag {
-    span: Vec<(u32, u32)>,
-    edges: Vec<(u32, u32)>,
-}
-
-impl Dag {
-    /// Records the DAG toward the sweep's destination `j`: each switch's
-    /// entries whose `downhill` bit `j` is set, in adjacency order. Each
-    /// entry is written, and kept by advancing past it only if its bit is
-    /// set, so the walk has no branch to mispredict.
-    fn record(&mut self, adj: Adjacency<'_>, downhill: &[u64], j: usize) {
-        self.span.resize(adj.offsets.len() - 1, (0, 0));
-        self.edges.resize(adj.targets.len(), (0, 0));
-        let mut kept = 0usize;
-        for (span, w) in self.span.iter_mut().zip(adj.offsets.windows(2)) {
-            let (start, entries) = (kept, w[0] as usize..w[1] as usize);
-            for (&edge, &down) in adj.targets[entries.clone()].iter().zip(&downhill[entries]) {
-                self.edges[kept] = edge;
-                kept += (down >> j & 1) as usize;
-            }
-            *span = (start as u32, (kept - start) as u32);
-        }
-    }
-
-    /// The downhill edges `(neighbor, link)` of `u`.
-    fn downhill(&self, u: u32) -> &[(u32, u32)] {
-        let (start, len) = self.span[u as usize];
-        &self.edges[start as usize..(start + len) as usize]
-    }
-}
-
 /// Most destinations one [`Sweep`] reaches at once: one bit of a `u64`
-/// each.
+/// each. It is also the side of the bit blocks [`transpose64`] turns.
 const SWEEP_WIDTH: usize = 64;
+
+/// Transposes a 64×64 bit matrix in place: bit `c` of word `r` moves to
+/// bit `r` of word `c`. Each of the six rounds swaps the off-diagonal
+/// blocks of every diagonal block, from 32×32 quadrants down to single
+/// bits, with one shift, XOR and mask per pair of words.
+fn transpose64(m: &mut [u64; SWEEP_WIDTH]) {
+    let mut width = SWEEP_WIDTH / 2;
+    let mut mask = u64::MAX >> width;
+    while width != 0 {
+        let mut r = 0;
+        while r < SWEEP_WIDTH {
+            let t = ((m[r] >> width) ^ m[r + width]) & mask;
+            m[r] ^= t << width;
+            m[r + width] ^= t;
+            r = (r + width + 1) & !width;
+        }
+        width /= 2;
+        mask ^= mask << width;
+    }
+}
+
+/// Transposes each whole 64-word block of `words` in place.
+fn transpose_blocks(words: &mut [u64]) {
+    for block in words.as_chunks_mut().0 {
+        transpose64(block);
+    }
+}
 
 /// A level-synchronous, bit-parallel BFS from up to [`SWEEP_WIDTH`]
 /// destinations at once. Bit `j` of a switch's word stands for the
 /// sweep's `j`-th destination.
+///
+/// A sweep run for the ECMP split also leaves per-destination bitmaps.
+/// Switches and adjacency entries are taken in blocks of 64; a block's 64
+/// words (one per switch or entry, one bit per destination) are
+/// transposed into 64 words of one destination each (one bit per switch
+/// or entry of the block), so word `64 b + j` of a transposed array is
+/// destination `j`'s word of block `b`.
 #[derive(Debug, Default)]
 struct Sweep {
     /// Per switch: the destinations that have reached it.
     reached: Vec<u64>,
-    /// Per switch: the destinations it is exactly `level` hops from.
+    /// Per switch, padded to whole blocks: the destinations it is exactly
+    /// `level` hops from.
     frontier: Vec<u64>,
-    /// Per switch: the destinations it is `level + 1` hops from.
+    /// Per switch, padded to whole blocks: the destinations it is
+    /// `level + 1` hops from.
     next: Vec<u64>,
-    /// Per adjacency entry `u → v`: the destinations `u` is one hop
-    /// farther from than `v`, that is, those the entry goes downhill for.
+    /// Per adjacency entry `u → v`, padded to whole blocks and one more
+    /// zero block: the destinations `u` is one hop farther from than `v`,
+    /// those the entry goes downhill for. Transposed in place once the
+    /// sweep ends.
     downhill: Vec<u64>,
+    /// The transposed `next` words of every level that grew, in order:
+    /// level `d`'s blocks hold the switches exactly `d` hops from each
+    /// destination.
+    levels: Vec<u64>,
     /// Distance rows, `n` per destination: row `j` holds every switch's
     /// hop count to destination `j`.
     rows: Vec<u16>,
@@ -620,12 +622,22 @@ impl Sweep {
     /// only, so nothing is mask-checked. Each level ORs every switch's
     /// neighbours' frontier words, which advances every destination by one
     /// hop in one pass over the adjacency; a switch every destination has
-    /// reached is skipped. The bits a switch gains at a level give its
-    /// distance-row entries, and ANDed with each neighbour's frontier word,
-    /// the destinations that neighbour is downhill for. Records one
-    /// `kernel.csr.bfs_runs` tick per destination (one per distance row).
-    /// Returns the largest finite distance in any row.
-    fn run(&mut self, adj: Adjacency<'_>, dsts: impl ExactSizeIterator<Item = u32>) -> u16 {
+    /// reached is skipped. Records one `kernel.csr.bfs_runs` tick per
+    /// destination (one per distance row). Returns the largest finite
+    /// distance in any row.
+    ///
+    /// With `split`, the sweep also keeps what [`ecmp_process_dst`]
+    /// reads: the bits a switch gains at a level give its distance-row
+    /// entries and, ANDed with each neighbour's frontier word, the
+    /// destinations that neighbour is downhill for; each level's `next`
+    /// words and, at the end, the downhill words are transposed into
+    /// per-destination bitmaps. Without it, only the depth is found.
+    fn run(
+        &mut self,
+        adj: Adjacency<'_>,
+        dsts: impl ExactSizeIterator<Item = u32>,
+        split: bool,
+    ) -> u16 {
         let k = dsts.len();
         debug_assert!((1..=SWEEP_WIDTH).contains(&k));
         kernel_metrics().bfs_runs.add(k as u64);
@@ -635,21 +647,29 @@ impl Sweep {
             frontier,
             next,
             downhill,
+            levels,
             rows,
         } = self;
-        rows.clear();
-        rows.resize(k * n, UNREACHABLE);
-        frontier.clear();
-        frontier.resize(n, 0);
-        next.resize(n, 0);
-        downhill.clear();
-        downhill.resize(adj.targets.len(), 0);
+        for words in [&mut *frontier, &mut *next] {
+            words.clear();
+            words.resize(n.next_multiple_of(SWEEP_WIDTH), 0);
+        }
+        levels.clear();
+        if split {
+            rows.clear();
+            rows.resize(k * n, UNREACHABLE);
+            downhill.clear();
+            let entries = adj.targets.len().next_multiple_of(SWEEP_WIDTH);
+            downhill.resize(entries + SWEEP_WIDTH, 0);
+        }
         for (j, d) in dsts.enumerate() {
             frontier[d as usize] |= 1 << j;
-            rows[j * n + d as usize] = 0;
+            if split {
+                rows[j * n + d as usize] = 0;
+            }
         }
         reached.clear();
-        reached.extend_from_slice(frontier);
+        reached.extend_from_slice(&frontier[..n]);
         let all = u64::MAX >> (SWEEP_WIDTH - k);
         let mut level = 0u16;
         loop {
@@ -671,6 +691,9 @@ impl Sweep {
                 grew = true;
                 next[u] = gained;
                 reached[u] |= gained;
+                if !split {
+                    continue;
+                }
                 for (&(v, _), down) in entries.iter().zip(&mut downhill[lo..hi]) {
                     *down |= gained & frontier[v as usize];
                 }
@@ -681,9 +704,17 @@ impl Sweep {
                 }
             }
             if !grew {
+                if split {
+                    transpose_blocks(downhill);
+                }
                 return level;
             }
             level += 1;
+            if split {
+                let start = levels.len();
+                levels.extend_from_slice(next);
+                transpose_blocks(&mut levels[start..]);
+            }
             std::mem::swap(frontier, next);
         }
     }
@@ -692,6 +723,35 @@ impl Sweep {
     fn row(&self, j: usize) -> &[u16] {
         let n = self.reached.len();
         &self.rows[j * n..(j + 1) * n]
+    }
+
+    /// Destination `j`'s words of the level bitmaps, deepest level first:
+    /// one iterator per level, whose word `b` holds the switches of block
+    /// `b` at that distance.
+    fn levels_of(&self, j: usize) -> impl Iterator<Item = impl Iterator<Item = u64> + '_> + '_ {
+        let level_words = self.frontier.len();
+        self.levels
+            .chunks_exact(level_words)
+            .rev()
+            .map(move |level| level[j..].iter().step_by(SWEEP_WIDTH).copied())
+    }
+
+    /// Destination `j`'s downhill bits of the entries `lo..hi`, at most 64
+    /// of them: bit `i` for entry `lo + i`, cut out of the two words
+    /// that hold them with one funnel shift.
+    fn downhill_window(&self, lo: usize, hi: usize, j: usize) -> u64 {
+        let w = lo / SWEEP_WIDTH * SWEEP_WIDTH + j;
+        let pair = u128::from(self.downhill[w]) | u128::from(self.downhill[w + SWEEP_WIDTH]) << 64;
+        let keep = u64::MAX.checked_shr((SWEEP_WIDTH - (hi - lo)) as u32);
+        (pair >> (lo % SWEEP_WIDTH)) as u64 & keep.unwrap_or(0)
+    }
+
+    /// Destination `j`'s downhill bits of the entries of block `b` that
+    /// lie in `lo..hi`: bit `i` for entry `64 b + i`.
+    fn downhill_word(&self, b: usize, lo: usize, hi: usize, j: usize) -> u64 {
+        let base = b * SWEEP_WIDTH;
+        let (start, end) = (lo.saturating_sub(base), (hi - base).min(SWEEP_WIDTH));
+        self.downhill[base + j] & (u64::MAX << start) & (u64::MAX >> (SWEEP_WIDTH - end))
     }
 }
 
@@ -713,76 +773,76 @@ fn in_sweeps<T: Copy + Default>(items: impl IntoIterator<Item = T>, mut f: impl 
     }
 }
 
-/// Splits one destination's flow over all shortest paths (the classic
-/// equal-split-per-hop ECMP fluid model), accumulating into
-/// `scratch.load`. `dist` is the hop distance of every switch *to* the
-/// destination and `scratch.dag` its shortest-path DAG. Switches are
-/// processed in decreasing distance, ties broken by increasing index (a
-/// counting sort — exactly the stable order of the id-based implementation
-/// this replaces). That order alone fixes every `inflow` sum. A switch's
-/// own DAG list may come in any order: each of its entries adds the same
-/// share, once to its own link and once to its neighbour's inflow, so a
-/// reordering can only swap equal additions into one neighbour (through
-/// parallel links), which leaves every bit as it was.
-fn ecmp_process_dst(dst: u32, dist: &[u16], sources: &[(u32, f64)], scratch: &mut Scratch) {
-    let n = dist.len();
-    scratch.inflow.resize(n, 0.0);
-    scratch.inflow.fill(0.0);
+/// Splits the flow toward the sweep's destination `j` (switch `dst`) over
+/// all shortest paths (the classic equal-split-per-hop ECMP fluid model),
+/// accumulating into `load`. Switches are visited in decreasing distance,
+/// ties broken by increasing index: the level bitmaps, deepest first, each
+/// read in ascending bit order. That is exactly the stable order of the
+/// id-based implementation this replaces, and that order alone fixes
+/// every `inflow` sum. Each switch splits its inflow evenly over its
+/// downhill entries, taken in adjacency order from the transposed
+/// downhill bitmap: one funnel shift when its adjacency spans at most 64
+/// entries, a loop over the words it covers when it spans more.
+fn ecmp_process_dst(
+    adj: Adjacency<'_>,
+    sweep: &Sweep,
+    j: usize,
+    dst: u32,
+    sources: &[(u32, f64)],
+    inflow: &mut Vec<f64>,
+    load: &mut [f64],
+) {
+    let dist = sweep.row(j);
+    inflow.clear();
+    inflow.resize(dist.len(), 0.0);
     for &(src, gbps) in sources {
         if src != dst && dist[src as usize] != UNREACHABLE {
-            scratch.inflow[src as usize] += gbps;
+            inflow[src as usize] += gbps;
         }
     }
-
-    // Counting sort: switches with finite positive distance, descending by
-    // distance, ascending by index within a distance.
-    let maxd = dist
-        .iter()
-        .copied()
-        .filter(|&d| d != UNREACHABLE)
-        .max()
-        .unwrap_or(0) as usize;
-    scratch.counts.resize(maxd + 1, 0);
-    scratch.counts.fill(0);
-    let mut reachable = 0usize;
-    for &d in dist {
-        if d != UNREACHABLE && d > 0 {
-            scratch.counts[d as usize] += 1;
-            reachable += 1;
+    let mut spread = |inflow: &mut [f64], first: usize, mut entries: u64, share: f64| {
+        while entries != 0 {
+            let (v, l) = adj.targets[first + entries.trailing_zeros() as usize];
+            entries &= entries - 1;
+            load[l as usize] += share;
+            inflow[v as usize] += share;
         }
-    }
-    // Descending buckets: bucket `d` starts after all buckets > d.
-    scratch.starts.resize(maxd + 1, 0);
-    scratch.starts.fill(0);
-    let mut acc = 0u32;
-    for d in (1..=maxd).rev() {
-        scratch.starts[d] = acc;
-        acc += scratch.counts[d];
-    }
-    scratch.order.resize(reachable, 0);
-    for u in 0..n as u32 {
-        let d = dist[u as usize];
-        if d != UNREACHABLE && d > 0 {
-            let pos = &mut scratch.starts[d as usize];
-            scratch.order[*pos as usize] = u;
-            *pos += 1;
-        }
-    }
-
-    for k in 0..reachable {
-        let u = scratch.order[k];
-        let flow = scratch.inflow[u as usize];
-        if flow <= 0.0 {
-            continue;
-        }
-        let down = scratch.dag.downhill(u);
-        if down.is_empty() {
-            continue; // isolated inconsistency; skip rather than panic
-        }
-        let share = flow / down.len() as f64;
-        for &(v, l) in down {
-            scratch.load[l as usize] += share;
-            scratch.inflow[v as usize] += share;
+    };
+    for level in sweep.levels_of(j) {
+        for (b, mut switches) in level.enumerate() {
+            while switches != 0 {
+                let u = b * SWEEP_WIDTH + switches.trailing_zeros() as usize;
+                switches &= switches - 1;
+                let flow = inflow[u];
+                if flow <= 0.0 {
+                    continue;
+                }
+                let (lo, hi) = (adj.offsets[u] as usize, adj.offsets[u + 1] as usize);
+                if hi - lo <= SWEEP_WIDTH {
+                    let down = sweep.downhill_window(lo, hi, j);
+                    if down != 0 {
+                        spread(inflow, lo, down, flow / f64::from(down.count_ones()));
+                    }
+                    continue;
+                }
+                let blocks = lo / SWEEP_WIDTH..hi.div_ceil(SWEEP_WIDTH);
+                let count: u32 = blocks
+                    .clone()
+                    .map(|b| sweep.downhill_word(b, lo, hi, j).count_ones())
+                    .sum();
+                if count == 0 {
+                    continue; // isolated inconsistency; skip rather than panic
+                }
+                let share = flow / f64::from(count);
+                for b in blocks {
+                    spread(
+                        inflow,
+                        b * SWEEP_WIDTH,
+                        sweep.downhill_word(b, lo, hi, j),
+                        share,
+                    );
+                }
+            }
         }
     }
 }
@@ -794,11 +854,11 @@ fn ecmp_process_dst(dst: u32, dist: &[u16], sources: &[(u32, f64)], scratch: &mu
 /// With masks, the alive adjacency is first compacted into `scratch`
 /// (adjacency order kept), once per call. Destinations are then processed
 /// in increasing index order, 64 at a time: one bit-parallel BFS over that
-/// alive-only adjacency gives their distance rows and the bits each
-/// destination's shortest-path DAG is read from, so the split walks the
-/// DAG instead of rescanning the adjacency. Every float accumulation
-/// follows index order, so the result is byte-stable across processes and
-/// job counts.
+/// alive-only adjacency gives their distance rows and, transposed once,
+/// each destination's visiting order and shortest-path DAG as bitmaps, so
+/// the split neither sorts switches nor rescans the adjacency. Every float
+/// accumulation follows index order, so the result is byte-stable across
+/// processes and job counts.
 pub fn ecmp_evaluate(
     csr: &CsrNet,
     demands: &IndexedDemands,
@@ -827,9 +887,10 @@ pub fn ecmp_evaluate(
 
 /// The loop every ECMP kernel runs: zero the loads, then take the
 /// `(dst, sources)` groups in the order given, [`SWEEP_WIDTH`] at a time.
-/// One [`Sweep`] over `adj` gives every group's distance row and DAG; then,
-/// group by group, the DAG is recorded, `visit` looks at the row and the
-/// split runs. Returns the largest finite distance in any row.
+/// One [`Sweep`] over `adj` gives every group's distance row, visiting
+/// order and downhill entries; then, group by group, `visit` looks at the
+/// row and [`ecmp_process_dst`] splits the flow. Returns the largest
+/// finite distance in any row.
 fn ecmp_per_destination<'s>(
     csr: &CsrNet,
     adj: Adjacency<'_>,
@@ -838,19 +899,22 @@ fn ecmp_per_destination<'s>(
     mut visit: impl FnMut(u32, &[u16], &[(u32, f64)]),
 ) -> u16 {
     kernel_metrics().ecmp_runs.incr();
-    scratch.load.resize(csr.link_count(), 0.0);
-    scratch.load.fill(0.0);
-    let mut sweep = std::mem::take(&mut scratch.sweep);
+    let Scratch {
+        inflow,
+        load,
+        sweep,
+        ..
+    } = scratch;
+    load.resize(csr.link_count(), 0.0);
+    load.fill(0.0);
     let mut depth = 0u16;
     in_sweeps(groups, |run| {
-        depth = depth.max(sweep.run(adj, run.iter().map(|&(dst, _)| dst)));
+        depth = depth.max(sweep.run(adj, run.iter().map(|&(dst, _)| dst), true));
         for (j, &(dst, sources)) in run.iter().enumerate() {
-            scratch.dag.record(adj, &sweep.downhill, j);
             visit(dst, sweep.row(j), sources);
-            ecmp_process_dst(dst, sweep.row(j), sources, scratch);
+            ecmp_process_dst(adj, sweep, j, dst, sources, inflow, load);
         }
     });
-    scratch.sweep = sweep;
     depth
 }
 
@@ -878,9 +942,11 @@ pub struct HealthyRouting {
 /// host shared by all destinations (the split skips a destination's own
 /// entry). Each destination's row also adds its host distances to
 /// `host_hops`, and the loop's deepest row feeds the diameter. The other
-/// switches are then swept 64 at a time, for the diameter only. Loads,
-/// outcome and distances equal those of `ecmp_evaluate` and of folds over
-/// [`all_pairs_dist`], bit for bit.
+/// switches are then swept 64 at a time, for the diameter only, with no
+/// distance rows, downhill words or transposed bitmaps. Loads, outcome
+/// and distances equal those of `ecmp_evaluate` and of folds over
+/// [`all_pairs_dist`], bit for bit, so `ecmp.throughput_scale()` is also
+/// the healthy baseline of [`crate::metrics::failure_resilience_from`].
 pub fn uniform_healthy(csr: &CsrNet, scratch: &mut Scratch) -> HealthyRouting {
     let hosts = csr.host_switches();
     let sources: Vec<(u32, f64)> = hosts.iter().map(|&h| (h, 1.0)).collect();
@@ -898,7 +964,7 @@ pub fn uniform_healthy(csr: &CsrNet, scratch: &mut Scratch) -> HealthyRouting {
     });
     let others = (0..csr.switch_count() as u32).filter(|&u| csr.switch_server_ports(u) == 0);
     in_sweeps(others, |run| {
-        diameter = diameter.max(scratch.sweep.run(adj, run.iter().copied()));
+        diameter = diameter.max(scratch.sweep.run(adj, run.iter().copied(), false));
     });
     HealthyRouting {
         ecmp: ecmp_outcome(csr, None, &scratch.load, host_pairs as usize),
@@ -1795,17 +1861,63 @@ pub(crate) mod tests {
         small_net("sweep", &servers, &links)
     }
 
-    /// Host counts at and around the 64-destination sweep width, and one
-    /// with more switches without servers than one sweep takes.
-    fn sweep_fixtures() -> Vec<(String, Network)> {
-        [(1, 4), (63, 3), (64, 3), (65, 3), (66, 70), (130, 6)]
-            .into_iter()
-            .map(|(hosts, transit)| (format!("{hosts} hosts"), sweep_net(hosts, transit)))
-            .collect()
+    /// Two hub switches and `leaves` leaf switches in a ring, every leaf
+    /// linked to both hubs and every third one linked to hub 0 twice. Both
+    /// hubs and three leaves in four carry servers. Each hub's adjacency
+    /// spans more than 64 entries, and the leaves' short ones follow it,
+    /// so some of them straddle a 64-entry word boundary.
+    fn hub_net(leaves: usize) -> Network {
+        let mut servers = vec![2u16, 2];
+        servers.extend((0..leaves).map(|i| if i % 4 == 3 { 0 } else { 2 }));
+        let leaf = |i: usize| 2 + i % leaves;
+        let mut links: Vec<(usize, usize)> = (0..leaves).map(|i| (leaf(i), leaf(i + 1))).collect();
+        for i in 0..leaves {
+            links.push((0, leaf(i)));
+            links.push((1, leaf(i)));
+            if i % 3 == 0 {
+                links.push((0, leaf(i)));
+            }
+        }
+        small_net("hubs", &servers, &links)
     }
 
-    /// Across sweep boundaries (1, 63, 64, 65, 66 and 130 host
-    /// destinations; 70 switches without servers) the healthy pass and
+    /// Whether some host switch of `adj` spans more than 64 adjacency
+    /// entries (the split's word loop), and whether some spans at most 64
+    /// across a 64-entry word boundary (its funnel shift over two words).
+    /// Every host switch splits flow toward each other destination it
+    /// reaches, so both paths run when both hold.
+    fn split_paths(adj: Adjacency<'_>, hosts: &[u32]) -> (bool, bool) {
+        let ranges = hosts.iter().map(|&h| {
+            let (lo, hi) = (
+                adj.offsets[h as usize] as usize,
+                adj.offsets[h as usize + 1] as usize,
+            );
+            (lo, hi)
+        });
+        let wide = ranges.clone().any(|(lo, hi)| hi - lo > SWEEP_WIDTH);
+        let straddling = ranges.clone().any(|(lo, hi)| {
+            hi - lo <= SWEEP_WIDTH && hi > lo && lo / SWEEP_WIDTH != (hi - 1) / SWEEP_WIDTH
+        });
+        (wide, straddling)
+    }
+
+    /// Host counts at and around the 64-destination sweep width, one with
+    /// more switches without servers than one sweep takes, and
+    /// [`hub_net`] (92 hosts), whose adjacency ranges exercise both ways
+    /// the split reads a switch's downhill entries.
+    fn sweep_fixtures() -> Vec<(String, Network)> {
+        let mut nets: Vec<(String, Network)> =
+            [(1, 4), (63, 3), (64, 3), (65, 3), (66, 70), (130, 6)]
+                .into_iter()
+                .map(|(hosts, transit)| (format!("{hosts} hosts"), sweep_net(hosts, transit)))
+                .collect();
+        nets.push(("hubs".to_string(), hub_net(120)));
+        nets
+    }
+
+    /// Across sweep boundaries (1, 63, 64, 65, 66, 92 and 130 host
+    /// destinations; 70 switches without servers) and across 64-entry
+    /// word boundaries of the adjacency ([`hub_net`]), the healthy pass and
     /// healthy ECMP equal the references bit for bit.
     #[test]
     fn healthy_kernels_match_references_across_sweep_boundaries() {
@@ -1813,16 +1925,22 @@ pub(crate) mod tests {
         for (name, net) in sweep_fixtures() {
             assert_healthy_pass_matches(&name, &net, &mut scratch);
             let csr = CsrNet::build(&net);
+            if name == "hubs" {
+                let paths = split_paths(csr.full_adjacency(), &csr.host_switches());
+                assert_eq!(paths, (true, true), "hubs: (word loop, funnel shift)");
+            }
             let demands = IndexedDemands::build(&csr, &seeded_traffic(&net, 5));
             assert_ecmp_matches_reference(&name, &csr, &demands, None, &mut scratch);
         }
     }
 
     /// Masked ECMP equals the masked reference bit for bit across sweep
-    /// boundaries: dead host switches inside a sweep (so the alive
-    /// destinations of 66 and 130 hosts number 65, 64, 63, 129 and 127),
-    /// with and without their links; every link between the two halves of
-    /// the ring cut; and a seeded 10% of links down.
+    /// and word boundaries: dead host switches inside a sweep (so the
+    /// alive destinations of 66 and 130 hosts number 65, 64, 63, 129 and
+    /// 127), with and without their links; every link between the two
+    /// halves of the ring cut; and a seeded 10% of links down. On
+    /// [`hub_net`], the alive adjacency still runs both ways of reading a
+    /// switch's downhill entries under every mask.
     #[test]
     fn masked_ecmp_matches_the_reference_across_sweep_boundaries() {
         let mut scratch = Scratch::default();
@@ -1865,6 +1983,16 @@ pub(crate) mod tests {
             cases.push(("10% links".to_string(), random));
 
             for (what, masks) in &cases {
+                if name == "hubs" {
+                    let (mut offsets, mut targets) = (Vec::new(), Vec::new());
+                    let adj = compact_alive(&csr, masks, &mut offsets, &mut targets);
+                    let paths = split_paths(adj, &hosts);
+                    assert_eq!(
+                        paths,
+                        (true, true),
+                        "hubs, {what}: (word loop, funnel shift)"
+                    );
+                }
                 let alive = hosts
                     .iter()
                     .filter(|&&h| masks.switch_alive[h as usize])
@@ -1877,6 +2005,79 @@ pub(crate) mod tests {
         for want in [1, 63, 64, 65, 129] {
             assert!(alive_counts.contains(&want), "no case with {want}");
         }
+    }
+
+    /// Bit `c` of word `r` moved to bit `r` of word `c`, one bit at a time.
+    fn naive_transpose(m: &[u64; SWEEP_WIDTH]) -> [u64; SWEEP_WIDTH] {
+        let mut t = [0u64; SWEEP_WIDTH];
+        for (r, &word) in m.iter().enumerate() {
+            for (c, out) in t.iter_mut().enumerate() {
+                *out |= (word >> c & 1) << r;
+            }
+        }
+        t
+    }
+
+    /// [`transpose64`] equals the bit-by-bit transpose on seeded words and
+    /// on all-zero, all-ones, diagonal, anti-diagonal and single-bit
+    /// matrices, and transposing twice gives the input back.
+    #[test]
+    fn transpose64_matches_the_bit_by_bit_transpose() {
+        let mut cases: Vec<(String, [u64; SWEEP_WIDTH])> = vec![
+            ("zero".to_string(), [0; SWEEP_WIDTH]),
+            ("ones".to_string(), [u64::MAX; SWEEP_WIDTH]),
+            ("diagonal".to_string(), std::array::from_fn(|r| 1 << r)),
+            (
+                "anti-diagonal".to_string(),
+                std::array::from_fn(|r| 1 << (63 - r)),
+            ),
+        ];
+        for (r, c) in [
+            (0, 0),
+            (0, 63),
+            (63, 0),
+            (63, 63),
+            (5, 40),
+            (40, 5),
+            (31, 32),
+        ] {
+            let mut m = [0; SWEEP_WIDTH];
+            m[r] = 1 << c;
+            cases.push((format!("bit ({r}, {c})"), m));
+        }
+        for seed in 0..16 {
+            let mut rng = crate::gen::SplitMix64::new(seed);
+            cases.push((
+                format!("seed {seed}"),
+                std::array::from_fn(|_| rng.next_u64()),
+            ));
+        }
+        for (name, m) in cases {
+            let mut t = m;
+            transpose64(&mut t);
+            assert_eq!(t, naive_transpose(&m), "{name}");
+            transpose64(&mut t);
+            assert_eq!(t, m, "{name}: twice");
+        }
+    }
+
+    /// A sweep run only for its depth (the diameter over switches without
+    /// servers) keeps no level bitmaps and writes no downhill words, and
+    /// still finds the same depth as a sweep for the split.
+    #[test]
+    fn depth_only_sweeps_build_no_bitmaps() {
+        let net = sweep_net(66, 70);
+        let csr = CsrNet::build(&net);
+        let mut sweep = Sweep::default();
+        let dsts = || (0..SWEEP_WIDTH as u32).map(|i| i * 2);
+        let depth = sweep.run(csr.full_adjacency(), dsts(), true);
+        assert_eq!(
+            sweep.levels.len(),
+            usize::from(depth) * sweep.frontier.len()
+        );
+        let mut fresh = Sweep::default();
+        assert_eq!(fresh.run(csr.full_adjacency(), dsts(), false), depth);
+        assert!(fresh.levels.is_empty() && fresh.downhill.is_empty() && fresh.rows.is_empty());
     }
 
     /// [`IndexedDemands::uniform`] is the lowering of the uniform

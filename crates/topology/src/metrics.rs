@@ -57,6 +57,19 @@ const DISJOINT_PAIRS: usize = 16;
 /// thread.
 pub fn goodness_on(net: &Network, view: &CsrNet, seed: u64) -> GoodnessReport {
     let pass = csr::with_scratch(|scratch| csr::uniform_healthy(view, scratch));
+    goodness_from(net, view, &pass, seed)
+}
+
+/// [`goodness_on`] from a [`csr::uniform_healthy`] pass the caller has
+/// already run on `view`, so a caller that also needs the healthy
+/// throughput scale (the resilience baseline,
+/// [`failure_resilience_from`]) runs the pass once.
+pub fn goodness_from(
+    net: &Network,
+    view: &CsrNet,
+    pass: &csr::HealthyRouting,
+    seed: u64,
+) -> GoodnessReport {
     let scale = pass.ecmp.throughput_scale();
     let servers = net.server_count();
     let hosts = view.host_switches();
@@ -435,11 +448,8 @@ pub struct ResilienceReport {
 }
 
 /// Computes [`ResilienceReport`] for a network under a uniform server
-/// traffic matrix, on a prebuilt [`CsrNet`] of it. Each sample masks the
-/// failed links on the shared dense view ([`Masks`]); one masked ECMP
-/// evaluation yields both the disconnect check (`routable < total
-/// demands`) and the degraded throughput scale. The link shuffle is seeded,
-/// so per-seed results are stable.
+/// traffic matrix, on a prebuilt [`CsrNet`] of it: one healthy ECMP
+/// evaluation for the baseline scale, then [`failure_resilience_from`].
 pub fn failure_resilience_on(
     net: &Network,
     view: &CsrNet,
@@ -453,14 +463,35 @@ pub fn failure_resilience_on(
         "the CsrNet must be built from the same network"
     );
     let demands = csr::IndexedDemands::uniform(view, Gbps::new(1.0));
+    let healthy = csr::with_scratch(|scratch| csr::ecmp_evaluate(view, &demands, None, scratch));
+    failure_resilience_from(
+        view,
+        healthy.throughput_scale(),
+        fail_fraction,
+        samples,
+        seed,
+    )
+}
 
+/// [`ResilienceReport`] against `healthy`, the healthy network's uniform
+/// throughput scale, which a [`csr::uniform_healthy`] pass gives bit for
+/// bit. Each sample masks the failed links on the shared dense view
+/// ([`Masks`]); one masked ECMP evaluation yields both the disconnect
+/// check (`routable < total demands`) and the degraded throughput scale.
+/// The link shuffle is seeded, so per-seed results are stable.
+pub fn failure_resilience_from(
+    view: &CsrNet,
+    healthy: f64,
+    fail_fraction: f64,
+    samples: usize,
+    seed: u64,
+) -> ResilienceReport {
+    let demands = csr::IndexedDemands::uniform(view, Gbps::new(1.0));
     let fail_count = ((view.link_count() as f64) * fail_fraction).round() as usize;
     let mut rng = SplitMix64::new(seed);
     let mut masks = Masks::healthy(view);
 
     csr::with_scratch(|scratch| {
-        let healthy = csr::ecmp_evaluate(view, &demands, None, scratch).throughput_scale();
-
         let mut retained_sum = 0.0;
         let mut retained_n = 0usize;
         let mut worst = f64::INFINITY;
@@ -553,6 +584,19 @@ mod resilience_tests {
             r_jf,
             r_ls
         );
+    }
+
+    /// The Goodness stage feeds resilience the healthy pass's scale; on
+    /// every family that gives the report `failure_resilience_on` gives.
+    #[test]
+    fn resilience_from_the_healthy_pass_equals_failure_resilience_on() {
+        for (name, n) in crate::csr::tests::equivalence_fixtures() {
+            let view = CsrNet::build(&n);
+            let pass = csr::with_scratch(|scratch| csr::uniform_healthy(&view, scratch));
+            let from = failure_resilience_from(&view, pass.ecmp.throughput_scale(), 0.1, 4, 5);
+            let on = failure_resilience_on(&n, &view, 0.1, 4, 5);
+            assert_eq!(format!("{from:?}"), format!("{on:?}"), "{name}");
+        }
     }
 
     #[test]
