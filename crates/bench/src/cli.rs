@@ -1,13 +1,13 @@
 //! Shared flag parsing for the pd-bench binaries.
 //!
-//! Every binary in this crate speaks the same resilience and
-//! observability dialect: `--spec-timeout` / `--deadline` / `--retries`
-//! set the process-wide batch-engine defaults
+//! [`parse`], [`parse_list`] and [`duration`] read one flag's value.
+//! [`CommonFlags`] is the resilience and observability dialect of
+//! `experiments` and `search`: `--spec-timeout` / `--deadline` /
+//! `--retries` set the process-wide batch-engine defaults
 //! ([`pd_core::resilience`]), and `--metrics` prints the global
-//! [`pd_metrics`] registry table on exit. This module is the single
-//! implementation the `experiments`, `search`, `serve`, `client` and
-//! `loadgen` bins share, instead of five hand-rolled copies drifting
-//! apart.
+//! [`pd_metrics`] registry table on exit. `serve` parses those three
+//! flags into its own `ServerConfig` instead, and prints the table with
+//! [`emit_metrics_table`]. `client` and `loadgen` accept none of them.
 //!
 //! Parse failures print the precise complaint and exit 2 — the
 //! argument-error convention every bin already follows.

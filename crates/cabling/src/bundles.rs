@@ -97,23 +97,6 @@ impl BundlingReport {
     pub fn bundle_sku_count(&self) -> usize {
         self.manufacturable().count()
     }
-
-    /// Cables that must be pulled individually.
-    pub fn loose_cables(&self) -> usize {
-        self.total_cables - self.manufacturable().map(Bundle::size).sum::<usize>()
-    }
-
-    /// Mean bundle size over manufacturable bundles (0 if none).
-    pub fn mean_bundle_size(&self) -> f64 {
-        let (sum, n) = self
-            .manufacturable()
-            .fold((0usize, 0usize), |(s, n), b| (s + b.size(), n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum as f64 / n as f64
-        }
-    }
 }
 
 fn normalize(run: &CableRun) -> (SlotId, SlotId) {
@@ -185,12 +168,7 @@ mod tests {
         let net = fat_tree(6, Gbps::new(100.0)).unwrap();
         let plan = plan_for(&net, PlacementStrategy::BlockLocal);
         let rep = BundlingReport::analyze(&plan, 4);
-        let bundled: usize = rep.manufacturable().map(Bundle::size).sum();
-        assert_eq!(rep.loose_cables() + bundled, rep.total_cables);
         assert!(rep.bundled_fraction() >= 0.0 && rep.bundled_fraction() <= 1.0);
-        if rep.bundle_sku_count() > 0 {
-            assert!(rep.mean_bundle_size() >= rep.min_bundle_size as f64);
-        }
     }
 
     #[test]
@@ -199,7 +177,6 @@ mod tests {
         let plan = plan_for(&net, PlacementStrategy::BlockLocal);
         let rep = BundlingReport::analyze(&plan, 1);
         assert_eq!(rep.bundled_fraction(), 1.0);
-        assert_eq!(rep.loose_cables(), 0);
     }
 }
 

@@ -205,12 +205,6 @@ impl FsoPlan {
             self.feasible.len() as f64 / total as f64
         }
     }
-
-    /// Effective capacity multiplier of the FSO layer (coverage ×
-    /// availability).
-    pub fn effective_capacity(&self, spec: &FsoSpec) -> f64 {
-        self.coverage() * spec.availability
-    }
 }
 
 #[cfg(test)]

@@ -110,32 +110,6 @@ impl LossStack {
         };
         loss <= limit
     }
-
-    /// Maximum fiber length (meters) that still closes with the given
-    /// element count — the "viable cable lengths reduced by insertion
-    /// losses" curve of §3.1.
-    pub fn max_length(
-        &self,
-        budget: &LossBudget,
-        class: MediaClass,
-        connectors: u32,
-        panels: u32,
-        ocs: u32,
-    ) -> Option<Meters> {
-        let (per_km, limit) = match class {
-            MediaClass::MultimodeFiber => (self.mmf_per_km, budget.mmf),
-            MediaClass::SinglemodeFiber => (self.smf_per_km, budget.smf),
-            _ => return None,
-        };
-        let fixed = self.per_connector * f64::from(connectors)
-            + self.per_patch_panel * f64::from(panels)
-            + self.per_ocs * f64::from(ocs);
-        let remaining = limit - fixed;
-        if remaining < Db::ZERO {
-            return Some(Meters::ZERO);
-        }
-        Some(Meters::new(remaining.value() / per_km.value() * 1000.0))
-    }
 }
 
 #[cfg(test)]
@@ -179,36 +153,6 @@ mod tests {
             0,
             1
         ));
-    }
-
-    #[test]
-    fn max_length_shrinks_with_elements() {
-        let stack = LossStack::default();
-        let budget = LossBudget::default();
-        let bare = stack
-            .max_length(&budget, MediaClass::MultimodeFiber, 2, 0, 0)
-            .unwrap();
-        let panel = stack
-            .max_length(&budget, MediaClass::MultimodeFiber, 4, 1, 0)
-            .unwrap();
-        let ocs = stack
-            .max_length(&budget, MediaClass::MultimodeFiber, 4, 0, 1)
-            .unwrap();
-        assert!(panel < bare);
-        assert!(ocs < panel, "OCS (0.75 dB) worse than panel (0.5 dB)");
-        // Bare MMF: (1.9 − 0.6) / 3.0 per km ≈ 433 m.
-        assert!((bare.value() - 433.33).abs() < 1.0, "{bare}");
-    }
-
-    #[test]
-    fn over_budget_fixed_losses_give_zero_length() {
-        let stack = LossStack::default();
-        let budget = LossBudget::default();
-        // Four OCS hops exceed the whole MMF budget.
-        let m = stack
-            .max_length(&budget, MediaClass::MultimodeFiber, 0, 0, 4)
-            .unwrap();
-        assert_eq!(m, Meters::ZERO);
     }
 
     #[test]

@@ -102,15 +102,6 @@ impl CableSku {
     pub fn cable_cost(&self, length: Meters) -> Dollars {
         Dollars::per_meter(self.cost_per_meter, length) + self.ends_cost
     }
-
-    /// Mean time between failures in hours (∞-safe).
-    pub fn mtbf_hours(&self) -> f64 {
-        if self.fit <= 0.0 {
-            f64::INFINITY
-        } else {
-            1e9 / self.fit
-        }
-    }
 }
 
 /// The built-in SKU table: per-speed rows for each class.
@@ -230,12 +221,6 @@ mod tests {
         let s = sku(MediaClass::MultimodeFiber, Gbps::new(100.0)).unwrap();
         let c = s.cable_cost(Meters::new(10.0));
         assert_eq!(c, Dollars::new(2.5 * 10.0 + 400.0));
-    }
-
-    #[test]
-    fn mtbf_from_fit() {
-        let s = sku(MediaClass::DacCopper, Gbps::new(100.0)).unwrap();
-        assert!((s.mtbf_hours() - 1e9 / 60.0).abs() < 1.0);
     }
 
     #[test]

@@ -259,11 +259,6 @@ impl CablingPlan {
         self.runs.iter().map(|r| r.choice.ordered_length).sum()
     }
 
-    /// Total slack (ordered − routed).
-    pub fn total_slack(&self) -> Meters {
-        self.runs.iter().map(|r| r.choice.slack).sum()
-    }
-
     /// Total transceiver/end power.
     pub fn total_end_power(&self) -> Watts {
         self.runs.iter().map(|r| r.choice.sku.ends_power).sum()
@@ -679,7 +674,6 @@ mod tests {
             assert!(r.choice.slack >= Meters::ZERO);
             assert!(r.choice.ordered_length + Meters::new(1e-9) >= r.routed_length);
         }
-        assert!(plan.total_slack() >= Meters::ZERO);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use crate::resilience::{splitmix64, CancelToken};
+use pd_topology::gen::SplitMix64;
+
+use crate::resilience::CancelToken;
 use crate::stages::Stage;
 
 /// What to inject at a chaos point.
@@ -127,9 +129,9 @@ impl ChaosPlan {
         let mut state = seed;
         let mut remaining: Vec<&str> = spec_names.to_vec();
         for i in 0..count.min(spec_names.len()) {
-            state = splitmix64(state);
+            state = SplitMix64::new(state).next_u64();
             let spec = remaining.remove(state as usize % remaining.len());
-            state = splitmix64(state);
+            state = SplitMix64::new(state).next_u64();
             // Skip Generate (index 0): cached generation can satisfy the
             // first boundary without running it, and targeting it would
             // make "which slots die" depend on cache state.
@@ -285,6 +287,57 @@ mod tests {
             .points()
             .iter()
             .any(|p| p.injection == Injection::Panic));
+    }
+
+    #[test]
+    fn seeded_plans_hit_the_recorded_points() {
+        // Recorded before the injection-point mixer moved to
+        // `SplitMix64::next_u64`; a mixer change would move these targets.
+        use Injection::{Cancel, Panic};
+        use Stage::{Cost, Expansion, Faults, Schedule};
+        fn key(p: &ChaosPlan) -> Vec<(&str, Stage, Injection)> {
+            p.points()
+                .iter()
+                .map(|pt| (pt.spec.as_str(), pt.stage, pt.injection))
+                .collect()
+        }
+        let names = ["a", "b", "c", "d", "e", "f"];
+        assert_eq!(
+            key(&ChaosPlan::seeded_cancellations(7, &names, 4)),
+            [
+                ("d", Faults, Cancel),
+                ("b", Faults, Cancel),
+                ("e", Schedule, Cancel),
+                ("f", Cost, Cancel),
+            ]
+        );
+        assert_eq!(
+            key(&ChaosPlan::seeded_mixed(7, &names, 4)),
+            [
+                ("d", Faults, Cancel),
+                ("b", Faults, Panic),
+                ("e", Schedule, Cancel),
+                ("f", Cost, Panic),
+            ]
+        );
+        assert_eq!(
+            key(&ChaosPlan::seeded_cancellations(0xC0FFEE, &names, 4)),
+            [
+                ("e", Expansion, Cancel),
+                ("c", Schedule, Cancel),
+                ("d", Cost, Cancel),
+                ("b", Expansion, Cancel),
+            ]
+        );
+        assert_eq!(
+            key(&ChaosPlan::seeded_mixed(0xC0FFEE, &names, 4)),
+            [
+                ("e", Expansion, Cancel),
+                ("c", Schedule, Panic),
+                ("d", Cost, Cancel),
+                ("b", Expansion, Panic),
+            ]
+        );
     }
 
     #[test]

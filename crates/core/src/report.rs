@@ -296,15 +296,6 @@ impl DeployabilityReport {
         }
     }
 
-    /// Cable meters per server — the paper's cabling-burden intuition.
-    pub fn cable_per_server(&self) -> Meters {
-        if self.servers == 0 {
-            Meters::ZERO
-        } else {
-            self.cable_length / f64::from(self.servers)
-        }
-    }
-
     /// True if the design deploys at all (no hard twin errors and no
     /// unrealizable links).
     pub fn deployable(&self) -> bool {
@@ -491,7 +482,6 @@ mod tests {
     fn per_server_metrics() {
         let r = dummy("a");
         assert_eq!(r.day_one_per_server(), Dollars::new(32_500.0));
-        assert_eq!(r.cable_per_server(), Meters::new(50.0));
         assert!(r.deployable());
     }
 

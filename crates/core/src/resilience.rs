@@ -44,6 +44,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use pd_topology::gen::SplitMix64;
+
 /// A lock-free cooperative cancellation flag, cloneable and shareable
 /// across threads. Derive per-task children with [`CancelToken::child`]:
 /// cancelling a parent cancels every descendant (they walk the ancestor
@@ -232,7 +234,7 @@ impl RetryPolicy {
         let jitter_ns = if span_ns == 0 {
             0
         } else {
-            splitmix64(self.seed ^ salt ^ u64::from(attempt)) % (span_ns + 1)
+            SplitMix64::new(self.seed ^ salt ^ u64::from(attempt)).next_u64() % (span_ns + 1)
         };
         half + Duration::from_nanos(jitter_ns)
     }
@@ -260,16 +262,6 @@ impl Default for WatchdogConfig {
             stall_threshold: Duration::from_secs(30),
         }
     }
-}
-
-/// SplitMix64 — the workspace's standard small deterministic mixer (the
-/// search crate's `Strategy::Random` uses the same function). Used here
-/// for backoff jitter and by [`crate::chaos`] for injection-point choice.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Nanoseconds since an arbitrary process-local epoch, from the monotonic
@@ -406,7 +398,6 @@ pub fn global_retry() -> Option<RetryPolicy> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pd_topology::gen::SplitMix64;
 
     #[test]
     fn token_starts_clean_and_cancels_idempotently() {
@@ -471,6 +462,27 @@ mod tests {
         // Exponential growth up to the cap.
         assert!(p.backoff_for(4, 7) >= p.backoff_for(1, 7));
         assert_eq!(RetryPolicy::none().backoff_for(3, 9), Duration::ZERO);
+    }
+
+    #[test]
+    fn backoff_matches_recorded_values() {
+        // Recorded before the jitter mixer moved to `SplitMix64::next_u64`;
+        // a mixer change would move these durations.
+        let p = RetryPolicy::attempts(5);
+        for (attempt, salt, nanos) in [
+            (1, 0, 21_732_143),
+            (1, 7, 15_391_073),
+            (2, 0xDEAD_BEEF, 26_320_873),
+            (3, 42, 57_041_875),
+            (5, 1, 347_143_482),
+            (8, u64::MAX, 392_797_909),
+        ] {
+            assert_eq!(
+                p.backoff_for(attempt, salt),
+                Duration::from_nanos(nanos),
+                "attempt {attempt}, salt {salt:#x}"
+            );
+        }
     }
 
     #[test]

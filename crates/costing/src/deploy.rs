@@ -227,11 +227,6 @@ impl DeploymentPlan {
         finish.into_iter().fold(Hours::ZERO, Hours::max)
     }
 
-    /// Total individual connections made (for yield math).
-    pub fn total_connections(&self) -> usize {
-        self.tasks.iter().map(|t| t.kind.connections()).sum()
-    }
-
     /// Number of tasks.
     pub fn len(&self) -> usize {
         self.tasks.len()
@@ -335,6 +330,7 @@ mod tests {
     fn connections_counted() {
         let (net, dp) = build(false);
         // Every loose cable contributes 2 connections.
-        assert_eq!(dp.total_connections(), net.link_count() * 2);
+        let connections: usize = dp.tasks.iter().map(|t| t.kind.connections()).sum();
+        assert_eq!(connections, net.link_count() * 2);
     }
 }

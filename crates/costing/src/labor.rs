@@ -7,7 +7,6 @@
 
 use crate::calib::LaborCalibration;
 use pd_geometry::{Hours, Meters};
-use pd_physical::SlotId;
 
 /// The kinds of physical work the scheduler knows about.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,22 +53,6 @@ impl WorkKind {
         }
     }
 
-    /// First-pass error probability of this task (0 for non-connecting
-    /// tasks).
-    pub fn error_rate(&self, calib: &LaborCalibration) -> f64 {
-        match self {
-            WorkKind::PullLooseCable { .. } => calib.loose_error_rate,
-            WorkKind::InstallBundle { members, .. } => {
-                // Each member connection can independently fail; expected
-                // errors = members × rate. We expose the *per-task* expected
-                // error count here, capped at 1 for probability use.
-                (calib.bundle_error_rate * *members as f64).min(1.0)
-            }
-            WorkKind::MoveFiber => calib.loose_error_rate,
-            _ => 0.0,
-        }
-    }
-
     /// Number of individual connections this task makes (for yield math).
     pub fn connections(&self) -> usize {
         match self {
@@ -80,10 +63,6 @@ impl WorkKind {
         }
     }
 }
-
-/// Where a task happens (for walking-time and rack-exclusion purposes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WorkSite(pub SlotId);
 
 #[cfg(test)]
 mod tests {
@@ -117,20 +96,16 @@ mod tests {
     }
 
     #[test]
-    fn error_rates_and_connections() {
-        let c = LaborCalibration::default();
+    fn connections_per_task() {
         let pull = WorkKind::PullLooseCable {
             length: Meters::new(5.0),
         };
         assert_eq!(pull.connections(), 2);
-        assert!(pull.error_rate(&c) > 0.0);
         let bundle = WorkKind::InstallBundle {
             members: 16,
             length: Meters::new(5.0),
         };
         assert_eq!(bundle.connections(), 32);
-        assert!(bundle.error_rate(&c) > pull.error_rate(&c) / 2.0);
         assert_eq!(WorkKind::TestLink.connections(), 0);
-        assert_eq!(WorkKind::TestLink.error_rate(&c), 0.0);
     }
 }

@@ -1,8 +1,7 @@
 //! Axis-aligned bounding boxes on the floor plan.
 //!
 //! Used for rack footprints, keep-out zones (columns, CRAC units), and door
-//! apertures. Overlap tests are how the placement engine guarantees two racks
-//! never claim the same tiles and that service clearances stay clear.
+//! apertures, with service clearance added by [`Aabb2::expanded`].
 
 use crate::point::Point2;
 use crate::units::Meters;
@@ -31,17 +30,6 @@ impl Aabb2 {
         }
     }
 
-    /// Builds a box from an origin corner plus a width (x) and depth (y).
-    pub fn from_origin_size(origin: Point2, width: Meters, depth: Meters) -> Self {
-        Self::from_corners(
-            origin,
-            Point2 {
-                x: origin.x + width,
-                y: origin.y + depth,
-            },
-        )
-    }
-
     /// Box width along x.
     pub fn width(&self) -> Meters {
         self.max.x - self.min.x
@@ -57,32 +45,9 @@ impl Aabb2 {
         self.min.midpoint(self.max)
     }
 
-    /// Floor area of the box in square meters (raw `f64`).
-    pub fn area_m2(&self) -> f64 {
-        self.width().value() * self.depth().value()
-    }
-
     /// True if `p` lies inside or on the boundary.
     pub fn contains(&self, p: Point2) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
-    }
-
-    /// True if the two boxes share any area (touching edges count).
-    pub fn intersects(&self, other: &Aabb2) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-    }
-
-    /// True if the two boxes overlap with positive area (touching edges do
-    /// *not* count) — the test used for rack-collision checks, where two
-    /// racks standing flush against each other is legal.
-    pub fn overlaps_strictly(&self, other: &Aabb2) -> bool {
-        self.min.x < other.max.x
-            && self.max.x > other.min.x
-            && self.min.y < other.max.y
-            && self.max.y > other.min.y
     }
 
     /// Grows the box by `margin` on every side (service clearance).
@@ -95,20 +60,6 @@ impl Aabb2 {
             max: Point2 {
                 x: self.max.x + margin,
                 y: self.max.y + margin,
-            },
-        }
-    }
-
-    /// Smallest box containing both.
-    pub fn union(&self, other: &Aabb2) -> Self {
-        Self {
-            min: Point2 {
-                x: self.min.x.min(other.min.x),
-                y: self.min.y.min(other.min.y),
-            },
-            max: Point2 {
-                x: self.max.x.max(other.max.x),
-                y: self.max.y.max(other.max.y),
             },
         }
     }
@@ -130,12 +81,11 @@ mod tests {
     }
 
     #[test]
-    fn size_center_area() {
-        let b = Aabb2::from_origin_size(Point2::new(1.0, 1.0), Meters::new(2.0), Meters::new(4.0));
+    fn size_and_center() {
+        let b = boxed(1.0, 1.0, 3.0, 5.0);
         assert_eq!(b.width(), Meters::new(2.0));
         assert_eq!(b.depth(), Meters::new(4.0));
         assert_eq!(b.center(), Point2::new(2.0, 3.0));
-        assert_eq!(b.area_m2(), 8.0);
     }
 
     #[test]
@@ -148,32 +98,9 @@ mod tests {
     }
 
     #[test]
-    fn touching_edges_intersect_but_do_not_strictly_overlap() {
-        let a = boxed(0.0, 0.0, 1.0, 1.0);
-        let b = boxed(1.0, 0.0, 2.0, 1.0); // flush against `a`
-        assert!(a.intersects(&b));
-        assert!(!a.overlaps_strictly(&b));
-    }
-
-    #[test]
-    fn disjoint_boxes() {
-        let a = boxed(0.0, 0.0, 1.0, 1.0);
-        let b = boxed(3.0, 3.0, 4.0, 4.0);
-        assert!(!a.intersects(&b));
-        assert!(!a.overlaps_strictly(&b));
-    }
-
-    #[test]
     fn expanded_adds_margin_all_sides() {
         let b = boxed(1.0, 1.0, 2.0, 2.0).expanded(Meters::new(0.5));
         assert_eq!(b.min, Point2::new(0.5, 0.5));
         assert_eq!(b.max, Point2::new(2.5, 2.5));
-    }
-
-    #[test]
-    fn union_covers_both() {
-        let u = boxed(0.0, 0.0, 1.0, 1.0).union(&boxed(2.0, -1.0, 3.0, 0.5));
-        assert_eq!(u.min, Point2::new(0.0, -1.0));
-        assert_eq!(u.max, Point2::new(3.0, 1.0));
     }
 }

@@ -80,11 +80,6 @@ impl Polyline {
         self.vertices.windows(2).map(|w| w[0].euclidean(w[1])).sum()
     }
 
-    /// Number of segments (edges) in the polyline.
-    pub fn segment_count(&self) -> usize {
-        self.vertices.len().saturating_sub(1)
-    }
-
     /// Extracts every bend (direction change above `min_angle_rad`) along the
     /// polyline. Collinear interior vertices produce no bend.
     pub fn bends(&self, min_angle_rad: f64) -> Vec<Bend> {
@@ -160,7 +155,6 @@ mod tests {
     #[test]
     fn length_sums_segments() {
         assert_eq!(l_shape().length(), Meters::new(5.0));
-        assert_eq!(l_shape().segment_count(), 2);
     }
 
     #[test]

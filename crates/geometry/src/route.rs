@@ -355,11 +355,6 @@ impl CapacityRouter {
         Ok(path)
     }
 
-    /// The polyline through the positions of a routed path's nodes.
-    pub fn path_polyline(&self, path: &RoutedPath) -> crate::polyline::Polyline {
-        crate::polyline::Polyline::new(path.nodes.iter().map(|n| self.positions[n.0]).collect())
-    }
-
     /// The search core: Dijkstra from `src` over the edges `skip` is false
     /// for, stopping once `dst`'s distance is final if a `dst` is given.
     fn dijkstra(&self, src: NodeId, dst: Option<NodeId>, skip: impl Fn(&Edge) -> bool) -> Reached {
@@ -567,15 +562,6 @@ mod tests {
         let b = g.add_node(Point3::new(3.0, 4.0, 0.0));
         let e = g.add_edge_auto(a, b, SquareMillimeters::new(1.0));
         assert_eq!(g.edge_length(e), Meters::new(5.0));
-    }
-
-    #[test]
-    fn path_polyline_matches_nodes() {
-        let (g, n, _) = square();
-        let p = g.route(n[0], n[2], SquareMillimeters::new(1.0)).unwrap();
-        let poly = g.path_polyline(&p);
-        assert_eq!(poly.vertices().len(), p.nodes.len());
-        assert!((poly.length() - p.length).abs() < Meters::new(1e-12));
     }
 
     #[test]

@@ -212,11 +212,6 @@ quantity!(
 );
 
 impl Meters {
-    /// Converts to millimeters.
-    pub fn to_mm(self) -> Millimeters {
-        Millimeters(self.0 * 1000.0)
-    }
-
     /// Converts to kilometers as a raw `f64` (used for per-km attenuation).
     pub fn to_km(self) -> f64 {
         self.0 / 1000.0
@@ -242,16 +237,6 @@ impl Hours {
         Hours(min / 60.0)
     }
 
-    /// The duration expressed in minutes.
-    pub fn to_minutes(self) -> f64 {
-        self.0 * 60.0
-    }
-
-    /// The duration expressed in whole-and-fractional 8-hour work days.
-    pub fn to_work_days(self) -> f64 {
-        self.0 / 8.0
-    }
-
     /// The duration expressed in 7-day weeks of 8-hour work days (40 h).
     pub fn to_work_weeks(self) -> f64 {
         self.0 / 40.0
@@ -265,29 +250,10 @@ impl Dollars {
     }
 }
 
-impl Db {
-    /// Converts a dB value to a linear power ratio.
-    pub fn to_linear(self) -> f64 {
-        10f64.powf(self.0 / 10.0)
-    }
-
-    /// Builds a dB value from a linear power ratio.
-    pub fn from_linear(ratio: f64) -> Self {
-        Db(10.0 * ratio.log10())
-    }
-}
-
 impl Watts {
     /// Energy cost of running this draw for `hours` at `usd_per_kwh`.
     pub fn energy_cost(self, hours: Hours, usd_per_kwh: f64) -> Dollars {
         Dollars(self.0 / 1000.0 * hours.0 * usd_per_kwh)
-    }
-}
-
-impl Gbps {
-    /// Converts to terabits per second as a raw `f64`.
-    pub fn to_tbps(self) -> f64 {
-        self.0 / 1000.0
     }
 }
 
@@ -316,12 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn meters_mm_round_trip() {
-        let m = Meters(1.234);
-        assert!((m.to_mm().to_meters() - m).abs() < Meters(1e-12));
-    }
-
-    #[test]
     fn circle_area_matches_formula() {
         // AWS's 6.7 mm OD 100G DAC (paper §3.1): area ≈ 35.26 mm².
         let a = Millimeters(6.7).circle_area();
@@ -341,16 +301,7 @@ mod tests {
     #[test]
     fn hours_conversions() {
         assert_eq!(Hours::from_minutes(90.0), Hours(1.5));
-        assert_eq!(Hours(80.0).to_work_days(), 10.0);
         assert_eq!(Hours(80.0).to_work_weeks(), 2.0);
-        assert_eq!(Hours(2.0).to_minutes(), 120.0);
-    }
-
-    #[test]
-    fn db_linear_round_trip() {
-        let db = Db(3.0);
-        let back = Db::from_linear(db.to_linear());
-        assert!((back - db).abs() < Db(1e-12));
     }
 
     #[test]

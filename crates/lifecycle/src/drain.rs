@@ -33,11 +33,6 @@ impl DrainImpact {
         }
         (1.0 - self.scale_after / self.scale_before).max(0.0)
     }
-
-    /// True if the drained network still carries the full matrix at α ≥ 1.
-    pub fn still_feasible(&self) -> bool {
-        !self.disconnected && self.scale_after >= 1.0
-    }
 }
 
 /// Computes the throughput impact of draining `drained` switches under
@@ -143,7 +138,6 @@ mod tests {
         let impact = capacity_after_drain(&net, &tm, &spines);
         assert!(impact.disconnected);
         assert_eq!(impact.capacity_loss(), 1.0);
-        assert!(!impact.still_feasible());
     }
 
     #[test]

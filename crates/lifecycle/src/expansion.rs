@@ -17,7 +17,7 @@
 //!   switch racks — random graphs have no panel layer to hide behind.
 
 use crate::metrics::{RewirePlan, RewireSite};
-use pd_physical::{Placement, SlotId};
+use pd_physical::SlotId;
 use pd_topology::gen::SplitMix64;
 use pd_topology::{Network, SwitchId, SwitchRole};
 
@@ -199,24 +199,6 @@ pub fn flat_add_tor(
         plan.abandoned_cables += 1;
     }
     (new_tor, plan)
-}
-
-/// Convenience: panel/pod slot lists from a placement, for building
-/// [`ClosExpansionParams`] against a real placed network.
-pub fn pod_slots_of(net: &Network, placement: &Placement) -> Vec<SlotId> {
-    let mut slots: Vec<SlotId> = Vec::new();
-    for b in net.blocks() {
-        if let Some(first) = net
-            .block_members(b)
-            .into_iter()
-            .find(|&s| net.switch(s).map(|s| s.layer < 2).unwrap_or(false))
-        {
-            if let Some(slot) = placement.slot_of(first) {
-                slots.push(slot);
-            }
-        }
-    }
-    slots
 }
 
 #[cfg(test)]

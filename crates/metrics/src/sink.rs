@@ -53,15 +53,6 @@ pub struct JsonSink<W: Write> {
     out: W,
 }
 
-impl JsonSink<std::fs::File> {
-    /// A JSON sink that creates (or truncates) `path`.
-    pub fn to_path(path: &std::path::Path) -> io::Result<Self> {
-        Ok(Self {
-            out: std::fs::File::create(path)?,
-        })
-    }
-}
-
 impl<W: Write> JsonSink<W> {
     /// A JSON sink on any writer.
     pub fn new(out: W) -> Self {
@@ -99,21 +90,5 @@ mod tests {
         let json = String::from_utf8(json).unwrap();
         assert_eq!(json, format!("{}\n", snap.to_json()));
         assert!(json.contains("\"a.b\": 2"));
-    }
-
-    #[test]
-    fn json_sink_to_path_roundtrips() {
-        let reg = MetricsRegistry::new();
-        reg.counter("x").incr();
-        let dir = std::env::temp_dir().join("pd_metrics_sink_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
-        JsonSink::to_path(&path)
-            .unwrap()
-            .emit(&reg.snapshot())
-            .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, format!("{}\n", reg.snapshot().to_json()));
-        std::fs::remove_file(&path).ok();
     }
 }

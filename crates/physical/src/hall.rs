@@ -81,34 +81,6 @@ impl Hall {
         Some(self.slot(a)?.center.manhattan(self.slot(b)?.center))
     }
 
-    /// The slot whose center is nearest to a point (ties → lowest id).
-    pub fn nearest_slot(&self, p: Point2) -> Option<SlotId> {
-        self.slots
-            .iter()
-            .min_by(|a, b| {
-                a.center
-                    .manhattan(p)
-                    .total_cmp(&b.center.manhattan(p))
-                    .then(a.id.cmp(&b.id))
-            })
-            .map(|s| s.id)
-    }
-
-    /// Slots in the same row as `id`, nearest first (the candidate set for
-    /// conjoined-pair placement and for block-local growth).
-    pub fn row_neighbors(&self, id: SlotId) -> Vec<SlotId> {
-        let Some(s) = self.slot(id) else {
-            return Vec::new();
-        };
-        let mut same_row: Vec<&SlotRef> = self
-            .slots
-            .iter()
-            .filter(|t| t.row == s.row && t.id != id)
-            .collect();
-        same_row.sort_by_key(|t| t.index.abs_diff(s.index));
-        same_row.into_iter().map(|t| t.id).collect()
-    }
-
     /// Hall bounding dimensions (x extent, y extent).
     pub fn extent(&self) -> (Meters, Meters) {
         (
@@ -149,26 +121,6 @@ mod tests {
         // Slot 0 and slot 8: adjacent rows, 2.4 m apart.
         let d08 = h.slot_distance(SlotId(0), SlotId(8)).unwrap();
         assert!((d08 - Meters::new(2.4)).abs() < Meters::new(1e-9), "{d08}");
-    }
-
-    #[test]
-    fn nearest_slot_round_trip() {
-        let h = hall();
-        for s in h.slots() {
-            assert_eq!(h.nearest_slot(s.center), Some(s.id));
-        }
-    }
-
-    #[test]
-    fn row_neighbors_sorted_by_distance() {
-        let h = hall();
-        let n = h.row_neighbors(SlotId(3));
-        assert_eq!(n.len(), 7);
-        // First neighbors are index 2 or 4 (distance 1).
-        let first = h.slot(n[0]).unwrap();
-        assert_eq!(first.index.abs_diff(3), 1);
-        // All in row 0.
-        assert!(n.iter().all(|&id| h.slot(id).unwrap().row == 0));
     }
 
     #[test]

@@ -347,11 +347,6 @@ impl Placement {
         self.rack_of(s).map(|r| r.slot)
     }
 
-    /// Floor position of a switch.
-    pub fn position_of(&self, hall: &Hall, s: SwitchId) -> Option<Point2> {
-        hall.slot(self.slot_of(s)?).map(|sl| sl.center)
-    }
-
     /// Sum over all links of the slot-to-slot Manhattan distance — the
     /// cabling lower bound this placement implies (same-rack links count 0).
     pub fn wiring_lower_bound(&self, net: &Network, hall: &Hall) -> Meters {

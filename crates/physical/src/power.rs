@@ -162,20 +162,6 @@ impl PowerPlan {
             .map(|(s, _)| s)
             .collect()
     }
-
-    /// Slots that share at least one feed with `slot` — the correlated
-    /// failure domain exposed to SPOF analysis.
-    pub fn shared_feed_slots(&self, slot: SlotId) -> Vec<SlotId> {
-        let Some((a, b)) = self.feeds_of(slot) else {
-            return Vec::new();
-        };
-        self.assignments
-            .iter()
-            .enumerate()
-            .filter(|(i, (x, y))| *i != slot.0 && (*x == a || *x == b || *y == a || *y == b))
-            .map(|(i, _)| SlotId(i))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -224,19 +210,6 @@ mod tests {
         // Partner feed b must now carry the full 10 kW.
         assert_eq!(worst, Watts::new(10_000.0));
         let _ = b;
-    }
-
-    #[test]
-    fn shared_feed_domain_is_row_mates() {
-        let (hall, plan) = plan();
-        let shared = plan.shared_feed_slots(SlotId(0));
-        // With 4 feeds and stride-2 striping, rows 0 and 2 share feeds
-        // (2·0, 2·0+1) = (0,1) and (4,5) mod 4 = (0,1): rows 0 and 2 share.
-        for s in &shared {
-            let row = hall.slot(*s).unwrap().row;
-            assert!(row == 0 || row == 2, "unexpected row {row}");
-        }
-        assert_eq!(shared.len(), 7); // 3 other row-0 slots + 4 row-2 slots
     }
 
     #[test]

@@ -131,11 +131,6 @@ impl Rack {
         self.units.iter().map(|u| u.ru_size).sum()
     }
 
-    /// RUs still free (not necessarily contiguous).
-    pub fn free_ru(&self) -> u16 {
-        self.spec.rack_units.saturating_sub(self.used_ru())
-    }
-
     /// Total installed weight.
     pub fn total_weight(&self) -> Kilograms {
         self.units.iter().map(|u| u.weight).sum()
@@ -205,12 +200,6 @@ impl Rack {
         Ok(first)
     }
 
-    /// Removes the unit occupying `first_ru`, if any (decom).
-    pub fn remove_at(&mut self, first_ru: u16) -> Option<RackUnit> {
-        let i = self.units.iter().position(|u| u.first_ru == first_ru)?;
-        Some(self.units.remove(i))
-    }
-
     /// The installed switches (abstract ids).
     pub fn switch_ids(&self) -> Vec<u32> {
         self.units
@@ -274,12 +263,11 @@ mod tests {
         assert_eq!(a, 0);
         assert_eq!(b, 2);
         assert_eq!(r.used_ru(), 3);
-        assert_eq!(r.free_ru(), 39);
         assert_eq!(r.switch_ids(), vec![1, 2]);
     }
 
     #[test]
-    fn remove_opens_gap_and_reuse() {
+    fn freed_gap_is_reused() {
         let mut r = rack();
         r.install(sw(1), 2, Kilograms::new(20.0), Watts::new(500.0))
             .unwrap();
@@ -287,8 +275,7 @@ mod tests {
             .unwrap();
         r.install(sw(3), 2, Kilograms::new(20.0), Watts::new(500.0))
             .unwrap();
-        let removed = r.remove_at(2).unwrap();
-        assert_eq!(removed.kind, sw(2));
+        r.units.retain(|u| u.first_ru != 2);
         // A 2-RU unit fits back into the gap at RU 2.
         let at = r
             .install(sw(4), 2, Kilograms::new(20.0), Watts::new(500.0))
@@ -352,7 +339,7 @@ mod tests {
             .unwrap(); // at 2
         r.install(sw(3), 2, Kilograms::new(1.0), Watts::new(1.0))
             .unwrap(); // at 3
-        r.remove_at(2).unwrap();
+        r.units.retain(|u| u.first_ru != 2);
         assert_eq!(r.largest_free_span(), 42 - 5);
         let at = r
             .install(sw(4), 1, Kilograms::new(1.0), Watts::new(1.0))

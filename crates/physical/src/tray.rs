@@ -105,18 +105,6 @@ impl TrayNetwork {
             .fold(0.0, f64::max)
     }
 
-    /// Mean fill over all segments.
-    pub fn mean_fill(&self) -> f64 {
-        let (sum, n) = self.router.edge_ids().fold((0.0, 0usize), |(s, n), e| {
-            (s + self.router.fill_fraction(e), n + 1)
-        });
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
     /// Straight-line tray-path lower bound between two slots: Manhattan
     /// distance at tray height plus both drops.
     pub fn path_lower_bound(&self, hall: &Hall, a: SlotId, b: SlotId) -> Option<Meters> {
@@ -223,7 +211,6 @@ mod tests {
         tn.route_cable(SlotId(0), SlotId(7), SquareMillimeters::new(2400.0))
             .unwrap();
         assert!(tn.max_fill() > 0.09 && tn.max_fill() <= 0.11);
-        assert!(tn.mean_fill() > 0.0 && tn.mean_fill() < tn.max_fill());
     }
 
     #[test]

@@ -33,13 +33,6 @@ pub struct FamilyEnvelope {
     pub boundary_reason: Option<String>,
 }
 
-impl FamilyEnvelope {
-    /// True if the sweep never saw this family fail.
-    pub fn unbounded_in_sweep(&self) -> bool {
-        self.first_infeasible_servers.is_none()
-    }
-}
-
 /// Maps every family present in `records` to its feasibility boundary.
 /// Families come back in first-appearance order (the order the space
 /// listed them in).
@@ -147,7 +140,6 @@ mod tests {
             .as_deref()
             .unwrap()
             .contains("undeployable"));
-        assert!(!e.unbounded_in_sweep());
     }
 
     #[test]
@@ -158,7 +150,7 @@ mod tests {
         ];
         let envs = map_envelopes(&records);
         assert_eq!(envs[0].max_feasible_servers, Some(256));
-        assert!(envs[0].unbounded_in_sweep());
+        assert_eq!(envs[0].first_infeasible_servers, None);
     }
 
     #[test]
@@ -196,7 +188,7 @@ mod tests {
         ];
         let envs = map_envelopes(&records);
         assert_eq!(envs.len(), 2);
-        assert!(envs[0].unbounded_in_sweep());
+        assert_eq!(envs[0].first_infeasible_servers, None);
         assert_eq!(envs[1].max_feasible_servers, None);
         let table = render_envelopes(&envs);
         assert!(

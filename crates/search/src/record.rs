@@ -27,33 +27,13 @@ pub enum PointStatus {
     /// An adaptive rung dropped the point before the full pipeline. The
     /// detail keeps the rung's reason — `generation: …` / `placement: …`
     /// for proxy failures, `not promoted …` for budget cuts — so the
-    /// envelope mapper can tell a hard infeasibility from a budget cut.
+    /// envelope summary names why the point went.
     Pruned(String),
     /// The full pipeline returned an error (rendered [`EvalError`]).
     Error(String),
 }
 
 impl PointStatus {
-    /// True for the rendering of a hard infeasibility: a pipeline error or
-    /// a proxy-stage failure — as opposed to a budget cut, which says
-    /// nothing about the design.
-    ///
-    /// Rung prune reasons are rendered [`EvalError`]s, so the recognized
-    /// prefixes are the error's stage tags: `generation:` / `placement:`
-    /// for the adaptive rungs, plus `network:` should a custom-network
-    /// point ever fail its structural validation stage.
-    pub fn is_infeasible(&self) -> bool {
-        match self {
-            PointStatus::Ok => false,
-            PointStatus::Error(_) => true,
-            PointStatus::Pruned(reason) => {
-                reason.starts_with("generation:")
-                    || reason.starts_with("placement:")
-                    || reason.starts_with("network:")
-            }
-        }
-    }
-
     /// True for the rendering of an *interrupted* evaluation —
     /// `cancelled: …` / `timed out: …` ([`EvalError::is_interruption`]).
     /// An interruption is a statement about the run, not the design, so
@@ -489,12 +469,8 @@ mod tests {
         let trials = TrialProfile::default();
         let p = point();
         let pruned_hard = PointRecord::pruned(&p, &trials, "placement: no slots");
-        assert!(pruned_hard.status.is_infeasible());
         assert!(!pruned_hard.feasible());
-        let pruned_invalid = PointRecord::pruned(&p, &trials, "network: duplicate name");
-        assert!(pruned_invalid.status.is_infeasible());
         let pruned_budget = PointRecord::pruned(&p, &trials, "not promoted past rung A");
-        assert!(!pruned_budget.status.is_infeasible());
         assert!(pruned_budget.infeasibility().is_some());
 
         // Interruptions are about the run, not the design.

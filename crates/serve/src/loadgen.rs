@@ -210,9 +210,9 @@ fn draw_stream(cfg: &LoadgenConfig, conn: usize) -> impl Iterator<Item = WireSpe
     // Seed each connection's stream independently of every other's: a
     // splitmix step over (root seed, connection index) decorrelates
     // adjacent seeds without any cross-connection coordination.
-    let mut rng = SplitMix64::new(pd_core::resilience::splitmix64(
-        cfg.seed ^ (conn as u64).wrapping_mul(0x9E3779B97F4A7C15),
-    ));
+    let mut rng = SplitMix64::new(
+        SplitMix64::new(cfg.seed ^ (conn as u64).wrapping_mul(0x9E3779B97F4A7C15)).next_u64(),
+    );
     let space = &cfg.space;
     (0..cfg.requests).map(move |_| {
         let point = space.point(rng.below(space.len().max(1)));

@@ -13,12 +13,12 @@
 //!   `(neighbor, link)` target arrays, a per-link capacity array, and
 //!   stable id ⇄ index maps. Kernels walk arrays instead of probing
 //!   `HashMap<SwitchId, …>`.
-//! * [`Scratch`]: every reusable buffer the kernels need (distance rows,
-//!   frontier ring, flow accumulators, the ECMP kernel's alive-only
-//!   adjacency, 64-destination sweep words and bitmaps, residual
-//!   capacities, component marks). [`with_scratch`] checks
-//!   buffers out of a thread-local pool so batch workers stop
-//!   reallocating BFS state on every call.
+//! * [`Scratch`]: every reusable buffer the kernels need (frontier ring,
+//!   flow accumulators, the ECMP kernel's alive-only adjacency,
+//!   64-destination sweep words and bitmaps, residual capacities,
+//!   component marks). [`with_scratch`] checks buffers out of a
+//!   thread-local pool so batch workers stop reallocating BFS state on
+//!   every call.
 //! * [`Masks`]: alive/dead bits per switch and link, so degraded states
 //!   are evaluated by masking the shared healthy [`CsrNet`] instead of
 //!   cloning the `Network` and removing elements. [`ecmp_evaluate`]
@@ -27,8 +27,8 @@
 //! * ECMP from one bit-parallel BFS per 64 destinations: each switch holds
 //!   one `u64` of "reached by destination `j`" bits, and each level ORs
 //!   the neighbours' frontier words over the adjacency, so one pass per
-//!   level advances all 64 searches. The level words give every
-//!   destination's distance row and, per adjacency entry, the destinations
+//!   level advances all 64 searches. The level words give, per switch, the
+//!   destinations that reach it and, per adjacency entry, the destinations
 //!   it goes downhill for. A 64×64 bit transpose turns both kinds of
 //!   word into per-destination bitmaps, once per sweep: the switches at
 //!   each distance (the split's visiting order) and the downhill entries
@@ -36,9 +36,9 @@
 //!   from one or two words instead of scanning its adjacency.
 //! * Goodness's healthy routing in one pass ([`uniform_healthy`]): the
 //!   ECMP loop over the uniform host matrix also reads each destination's
-//!   row for the host distances and the diameter, and the other switches
-//!   are swept 64 at a time for the diameter. No all-pairs rows, no demand
-//!   list.
+//!   level bitmaps for the host distances and the diameter, and the other
+//!   switches are swept 64 at a time for the diameter. No all-pairs rows,
+//!   no demand list.
 //!
 //! Every kernel runs on its caller's thread. Parallelism belongs to the
 //! batch engine, which spreads whole designs over its worker pool.
@@ -104,8 +104,8 @@ fn kernel_metrics() -> &'static KernelMetrics {
 /// in [`Network::links`] order. The adjacency of switch `i` lives at
 /// `targets[offsets[i] .. offsets[i + 1]]` as `(neighbor_index,
 /// link_index)` pairs, in the same order as
-/// [`Network::incident_links`] — so kernels reproduce the exact traversal
-/// order of the id-based code they replace.
+/// [`Network::incident_links`], so traversal order is fixed by the
+/// `Network`.
 #[derive(Debug, Clone)]
 pub struct CsrNet {
     switch_ids: Vec<SwitchId>,
@@ -213,16 +213,6 @@ impl CsrNet {
         self.link_index.get(&id).copied()
     }
 
-    /// Switch id of a dense index.
-    pub fn switch_id(&self, idx: u32) -> SwitchId {
-        self.switch_ids[idx as usize]
-    }
-
-    /// Link id of a dense index.
-    pub fn link_id(&self, idx: u32) -> LinkId {
-        self.link_ids[idx as usize]
-    }
-
     /// Endpoint indices `(a, b)` of a link.
     pub fn link_ends(&self, idx: u32) -> (u32, u32) {
         self.ends[idx as usize]
@@ -316,9 +306,9 @@ fn link_ok(alive: Option<&Masks>, l: u32) -> bool {
 /// structures here: the alive-only adjacency a masked [`ecmp_evaluate`]
 /// compacts once per call (`alive_offsets` / `alive_targets`, laid out
 /// like [`CsrNet`]'s), and the bit-parallel BFS of up to 64 destinations
-/// (`sweep`: per-switch reach and frontier words, the destinations'
-/// distance rows, and per destination, bitmaps of the switches at each
-/// distance and of the downhill adjacency entries).
+/// (`sweep`: per-switch reach and frontier words and, per destination,
+/// bitmaps of the switches at each distance and of the downhill adjacency
+/// entries).
 #[derive(Debug, Default)]
 pub struct Scratch {
     frontier: Vec<u32>,
@@ -360,9 +350,8 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 
 /// Single-source BFS hop distances into `dist` (length
 /// [`CsrNet::switch_count`]); unreachable (or masked-dead) switches get
-/// [`UNREACHABLE`]. A dead source leaves the whole row unreachable,
-/// matching the removed-switch semantics of the clone-based path this
-/// replaces.
+/// [`UNREACHABLE`]. A dead source leaves the whole row unreachable, as if
+/// the switch were removed.
 pub fn bfs_fill(
     csr: &CsrNet,
     src: u32,
@@ -612,9 +601,6 @@ struct Sweep {
     /// level `d`'s blocks hold the switches exactly `d` hops from each
     /// destination.
     levels: Vec<u64>,
-    /// Distance rows, `n` per destination: row `j` holds every switch's
-    /// hop count to destination `j`.
-    rows: Vec<u16>,
 }
 
 impl Sweep {
@@ -623,15 +609,15 @@ impl Sweep {
     /// neighbours' frontier words, which advances every destination by one
     /// hop in one pass over the adjacency; a switch every destination has
     /// reached is skipped. Records one `kernel.csr.bfs_runs` tick per
-    /// destination (one per distance row). Returns the largest finite
-    /// distance in any row.
+    /// destination. Returns the largest finite distance to any
+    /// destination.
     ///
     /// With `split`, the sweep also keeps what [`ecmp_process_dst`]
-    /// reads: the bits a switch gains at a level give its distance-row
-    /// entries and, ANDed with each neighbour's frontier word, the
-    /// destinations that neighbour is downhill for; each level's `next`
-    /// words and, at the end, the downhill words are transposed into
-    /// per-destination bitmaps. Without it, only the depth is found.
+    /// reads: the bits a switch gains at a level, ANDed with each
+    /// neighbour's frontier word, give the destinations that neighbour is
+    /// downhill for; each level's `next` words and, at the end, the
+    /// downhill words are transposed into per-destination bitmaps.
+    /// Without it, only the depth is found.
     fn run(
         &mut self,
         adj: Adjacency<'_>,
@@ -648,7 +634,6 @@ impl Sweep {
             next,
             downhill,
             levels,
-            rows,
         } = self;
         for words in [&mut *frontier, &mut *next] {
             words.clear();
@@ -656,17 +641,12 @@ impl Sweep {
         }
         levels.clear();
         if split {
-            rows.clear();
-            rows.resize(k * n, UNREACHABLE);
             downhill.clear();
             let entries = adj.targets.len().next_multiple_of(SWEEP_WIDTH);
             downhill.resize(entries + SWEEP_WIDTH, 0);
         }
         for (j, d) in dsts.enumerate() {
             frontier[d as usize] |= 1 << j;
-            if split {
-                rows[j * n + d as usize] = 0;
-            }
         }
         reached.clear();
         reached.extend_from_slice(&frontier[..n]);
@@ -697,11 +677,6 @@ impl Sweep {
                 for (&(v, _), down) in entries.iter().zip(&mut downhill[lo..hi]) {
                     *down |= gained & frontier[v as usize];
                 }
-                let mut bits = gained;
-                while bits != 0 {
-                    rows[bits.trailing_zeros() as usize * n + u] = level + 1;
-                    bits &= bits - 1;
-                }
             }
             if !grew {
                 if split {
@@ -719,10 +694,14 @@ impl Sweep {
         }
     }
 
-    /// The distance row of the sweep's destination `j`.
-    fn row(&self, j: usize) -> &[u16] {
-        let n = self.reached.len();
-        &self.rows[j * n..(j + 1) * n]
+    /// Whether switch `u` reaches the sweep's destination `j`.
+    fn reaches(&self, u: u32, j: usize) -> bool {
+        self.reached[u as usize] >> j & 1 != 0
+    }
+
+    /// Levels the last split sweep grew: its largest finite distance.
+    fn depth(&self) -> usize {
+        self.levels.len() / self.frontier.len()
     }
 
     /// Destination `j`'s words of the level bitmaps, deepest level first:
@@ -777,12 +756,11 @@ fn in_sweeps<T: Copy + Default>(items: impl IntoIterator<Item = T>, mut f: impl 
 /// all shortest paths (the classic equal-split-per-hop ECMP fluid model),
 /// accumulating into `load`. Switches are visited in decreasing distance,
 /// ties broken by increasing index: the level bitmaps, deepest first, each
-/// read in ascending bit order. That is exactly the stable order of the
-/// id-based implementation this replaces, and that order alone fixes
-/// every `inflow` sum. Each switch splits its inflow evenly over its
-/// downhill entries, taken in adjacency order from the transposed
-/// downhill bitmap: one funnel shift when its adjacency spans at most 64
-/// entries, a loop over the words it covers when it spans more.
+/// read in ascending bit order. That order alone fixes every `inflow`
+/// sum. Each switch splits its inflow evenly over its downhill entries,
+/// taken in adjacency order from the transposed downhill bitmap: one
+/// funnel shift when its adjacency spans at most 64 entries, a loop over
+/// the words it covers when it spans more.
 fn ecmp_process_dst(
     adj: Adjacency<'_>,
     sweep: &Sweep,
@@ -792,11 +770,10 @@ fn ecmp_process_dst(
     inflow: &mut Vec<f64>,
     load: &mut [f64],
 ) {
-    let dist = sweep.row(j);
     inflow.clear();
-    inflow.resize(dist.len(), 0.0);
+    inflow.resize(sweep.reached.len(), 0.0);
     for &(src, gbps) in sources {
-        if src != dst && dist[src as usize] != UNREACHABLE {
+        if src != dst && sweep.reaches(src, j) {
             inflow[src as usize] += gbps;
         }
     }
@@ -854,11 +831,11 @@ fn ecmp_process_dst(
 /// With masks, the alive adjacency is first compacted into `scratch`
 /// (adjacency order kept), once per call. Destinations are then processed
 /// in increasing index order, 64 at a time: one bit-parallel BFS over that
-/// alive-only adjacency gives their distance rows and, transposed once,
-/// each destination's visiting order and shortest-path DAG as bitmaps, so
-/// the split neither sorts switches nor rescans the adjacency. Every float
-/// accumulation follows index order, so the result is byte-stable across
-/// processes and job counts.
+/// alive-only adjacency gives the switches that reach each and,
+/// transposed once, each destination's visiting order and shortest-path
+/// DAG as bitmaps, so the split neither sorts switches nor rescans the
+/// adjacency. Every float accumulation follows index order, so the result
+/// is byte-stable across processes and job counts.
 pub fn ecmp_evaluate(
     csr: &CsrNet,
     demands: &IndexedDemands,
@@ -877,8 +854,8 @@ pub fn ecmp_evaluate(
         .filter(|(dst, _)| switch_ok(alive, *dst))
         .map(|(dst, sources)| (*dst, sources.as_slice()));
     let mut routable = 0usize;
-    ecmp_per_destination(csr, adj, groups, scratch, |dst, dist, sources| {
-        routable += routable_sources(dst, dist, sources);
+    ecmp_per_destination(csr, adj, groups, scratch, |sweep, j, dst, sources| {
+        routable += routable_sources(sweep, j, dst, sources);
     });
     scratch.alive_offsets = offsets;
     scratch.alive_targets = targets;
@@ -887,16 +864,16 @@ pub fn ecmp_evaluate(
 
 /// The loop every ECMP kernel runs: zero the loads, then take the
 /// `(dst, sources)` groups in the order given, [`SWEEP_WIDTH`] at a time.
-/// One [`Sweep`] over `adj` gives every group's distance row, visiting
+/// One [`Sweep`] over `adj` gives every group's reach bits, visiting
 /// order and downhill entries; then, group by group, `visit` looks at the
-/// row and [`ecmp_process_dst`] splits the flow. Returns the largest
-/// finite distance in any row.
+/// sweep and the group's bit `j`, and [`ecmp_process_dst`] splits the
+/// flow. Returns the largest finite distance to any destination.
 fn ecmp_per_destination<'s>(
     csr: &CsrNet,
     adj: Adjacency<'_>,
     groups: impl IntoIterator<Item = (u32, &'s [(u32, f64)])>,
     scratch: &mut Scratch,
-    mut visit: impl FnMut(u32, &[u16], &[(u32, f64)]),
+    mut visit: impl FnMut(&Sweep, usize, u32, &[(u32, f64)]),
 ) -> u16 {
     kernel_metrics().ecmp_runs.incr();
     let Scratch {
@@ -911,7 +888,7 @@ fn ecmp_per_destination<'s>(
     in_sweeps(groups, |run| {
         depth = depth.max(sweep.run(adj, run.iter().map(|&(dst, _)| dst), true));
         for (j, &(dst, sources)) in run.iter().enumerate() {
-            visit(dst, sweep.row(j), sources);
+            visit(sweep, j, dst, sources);
             ecmp_process_dst(adj, sweep, j, dst, sources, inflow, load);
         }
     });
@@ -934,32 +911,38 @@ pub struct HealthyRouting {
 }
 
 /// The healthy network's uniform-traffic routing and distances from one
-/// distance row per switch, with no all-pairs rows and no demand list.
+/// BFS per switch, with no all-pairs rows and no demand list.
 ///
 /// Host switches are the destinations, in increasing index order, so the
 /// loop is [`ecmp_evaluate`]'s on the uniform matrix
 /// ([`IndexedDemands::uniform`] at 1 Gbps), with one source list of every
 /// host shared by all destinations (the split skips a destination's own
-/// entry). Each destination's row also adds its host distances to
-/// `host_hops`, and the loop's deepest row feeds the diameter. The other
-/// switches are then swept 64 at a time, for the diameter only, with no
-/// distance rows, downhill words or transposed bitmaps. Loads, outcome
-/// and distances equal those of `ecmp_evaluate` and of folds over
-/// [`all_pairs_dist`], bit for bit, so `ecmp.throughput_scale()` is also
-/// the healthy baseline of [`crate::metrics::failure_resilience_from`].
+/// entry). Each destination's level bitmaps also add its host distances
+/// to `host_hops`: `d` times the hosts at level `d`. The loop's deepest
+/// level feeds the diameter. The other switches are then swept 64 at a
+/// time, for the diameter only, with no downhill words or transposed
+/// bitmaps. Loads, outcome and distances equal those of `ecmp_evaluate`
+/// and of folds over [`all_pairs_dist`], bit for bit, so
+/// `ecmp.throughput_scale()` is also the healthy baseline of
+/// [`crate::metrics::failure_resilience_from`].
 pub fn uniform_healthy(csr: &CsrNet, scratch: &mut Scratch) -> HealthyRouting {
     let hosts = csr.host_switches();
     let sources: Vec<(u32, f64)> = hosts.iter().map(|&h| (h, 1.0)).collect();
     let groups = hosts.iter().map(|&h| (h, sources.as_slice()));
     let adj = csr.full_adjacency();
+    let mut host_bits = vec![0u64; csr.switch_count().div_ceil(SWEEP_WIDTH)];
+    for &h in &hosts {
+        host_bits[h as usize / SWEEP_WIDTH] |= 1 << (h as usize % SWEEP_WIDTH);
+    }
     let (mut host_hops, mut host_pairs) = (0u64, 0u64);
-    let mut diameter = ecmp_per_destination(csr, adj, groups, scratch, |dst, dist, _| {
-        for &h in &hosts {
-            let d = dist[h as usize];
-            if h != dst && d != UNREACHABLE {
-                host_hops += u64::from(d);
-                host_pairs += 1;
-            }
+    let mut diameter = ecmp_per_destination(csr, adj, groups, scratch, |sweep, j, _, _| {
+        for (d, level) in (1..=sweep.depth() as u64).rev().zip(sweep.levels_of(j)) {
+            let at_d: u32 = level
+                .zip(&host_bits)
+                .map(|(w, h)| (w & h).count_ones())
+                .sum();
+            host_hops += d * u64::from(at_d);
+            host_pairs += u64::from(at_d);
         }
     });
     let others = (0..csr.switch_count() as u32).filter(|&u| csr.switch_server_ports(u) == 0);
@@ -974,11 +957,12 @@ pub fn uniform_healthy(csr: &CsrNet, scratch: &mut Scratch) -> HealthyRouting {
     }
 }
 
-/// Sources other than `dst` itself that reach it (`dist` is the row to it).
-fn routable_sources(dst: u32, dist: &[u16], sources: &[(u32, f64)]) -> usize {
+/// Sources other than `dst` itself that reach it (`dst` is the sweep's
+/// destination `j`).
+fn routable_sources(sweep: &Sweep, j: usize, dst: u32, sources: &[(u32, f64)]) -> usize {
     sources
         .iter()
-        .filter(|&&(src, _)| dist[src as usize] != UNREACHABLE && src != dst)
+        .filter(|&&(src, _)| src != dst && sweep.reaches(src, j))
         .count()
 }
 
@@ -1009,8 +993,7 @@ pub fn take_loads(csr: &CsrNet, scratch: &Scratch) -> Vec<f64> {
 
 /// Unit-capacity max-flow between two switch indices (BFS augmentation;
 /// each undirected link is one unit in either direction — standard Menger
-/// analysis). The dense residual array replaces the
-/// `HashMap<(LinkId, u8), i32>` of the id-based implementation.
+/// analysis).
 pub fn max_flow(
     csr: &CsrNet,
     s: u32,
@@ -1100,8 +1083,7 @@ pub fn max_flow_capped(
 /// Capacity crossing a host partition: hosts are pre-assigned to side A
 /// (`side_a[h]`) or B, transit switches join the side from which BFS first
 /// reaches them (seeding follows `hosts` order, ties → earlier seed), and
-/// the crossing capacity is summed in link index order — the same
-/// assignment and summation order as the id-based `cut_capacity`.
+/// the crossing capacity is summed in link index order.
 pub fn cut_capacity(csr: &CsrNet, hosts: &[u32], side_a: &[bool], scratch: &mut Scratch) -> f64 {
     let n = csr.switch_count();
     scratch.side.resize(n, 0);
@@ -1187,12 +1169,12 @@ pub(crate) mod tests {
         assert_eq!(csr.link_count(), n.link_count());
         for s in n.switches() {
             let i = csr.switch_idx(s.id).expect("indexed");
-            assert_eq!(csr.switch_id(i), s.id);
+            assert_eq!(csr.switch_ids()[i as usize], s.id);
             assert_eq!(csr.switch_server_ports(i), s.server_ports);
         }
         for l in n.links() {
             let i = csr.link_idx(l.id).expect("indexed");
-            assert_eq!(csr.link_id(i), l.id);
+            assert_eq!(csr.link_ids()[i as usize], l.id);
             assert_eq!(csr.link_capacity(i), l.capacity().value());
         }
         // Adjacency mirrors incident_links order.
@@ -1201,7 +1183,7 @@ pub(crate) mod tests {
             let adj: Vec<LinkId> = csr
                 .adjacency(i)
                 .iter()
-                .map(|&(_, l)| csr.link_id(l))
+                .map(|&(_, l)| csr.link_ids()[l as usize])
                 .collect();
             assert_eq!(adj, n.incident_links(s.id));
         }
@@ -1230,7 +1212,7 @@ pub(crate) mod tests {
                     let mut copy = net.clone();
                     for &l in dead {
                         masks.link_alive[l as usize] = false;
-                        copy.remove_link(csr.link_id(l)).unwrap();
+                        copy.remove_link(csr.link_ids()[l as usize]).unwrap();
                     }
                     let removed = CsrNet::build(&copy);
                     // Removing links keeps every switch index.
@@ -1255,7 +1237,7 @@ pub(crate) mod tests {
                     let want_loads = take_loads(&removed, &scratch);
                     for (l, &load) in masked_loads.iter().enumerate() {
                         let want_load = removed
-                            .link_idx(csr.link_id(l as u32))
+                            .link_idx(csr.link_ids()[l])
                             .map_or(0.0, |r| want_loads[r as usize]);
                         assert_eq!(load.to_bits(), want_load.to_bits(), "{case}: link {l}");
                     }
@@ -1276,8 +1258,8 @@ pub(crate) mod tests {
         let csr = CsrNet::build(&n);
         let hosts = csr.host_switches();
         let tm = TrafficMatrix::single(
-            csr.switch_id(hosts[0]),
-            csr.switch_id(hosts[1]),
+            csr.switch_ids()[hosts[0] as usize],
+            csr.switch_ids()[hosts[1] as usize],
             Gbps::new(1.0),
         );
         let demands = IndexedDemands::build(&csr, &tm);
@@ -2077,7 +2059,7 @@ pub(crate) mod tests {
         );
         let mut fresh = Sweep::default();
         assert_eq!(fresh.run(csr.full_adjacency(), dsts(), false), depth);
-        assert!(fresh.levels.is_empty() && fresh.downhill.is_empty() && fresh.rows.is_empty());
+        assert!(fresh.levels.is_empty() && fresh.downhill.is_empty());
     }
 
     /// [`IndexedDemands::uniform`] is the lowering of the uniform

@@ -53,16 +53,6 @@ impl FatCliqueParams {
     pub fn switch_count(&self) -> usize {
         self.subclique_size * self.subcliques_per_clique * self.cliques
     }
-
-    /// Network ports consumed per switch (assuming the round-robin spread
-    /// divides evenly; otherwise some switches use one more).
-    pub fn min_network_degree(&self) -> usize {
-        let local = self.subclique_size - 1;
-        let intra_clique = self.subcliques_per_clique - 1;
-        let per_clique_switches = self.subclique_size * self.subcliques_per_clique;
-        let inter = (self.cliques - 1) * self.inter_clique_links / per_clique_switches;
-        local + intra_clique + inter
-    }
 }
 
 /// Builds a FatClique-style hierarchical clique network. Each clique is one

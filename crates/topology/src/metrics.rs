@@ -48,22 +48,14 @@ const DISJOINT_PAIRS: usize = 16;
 
 /// Computes the full goodness report on a [`CsrNet`] of `net`, so the
 /// executor can thread one dense view through every kernel of an
-/// evaluation (the healthy routing pass, bisection cuts, max-flow
-/// sampling, power iteration). `seed` drives the cut and pair sampling.
+/// evaluation (bisection cuts, max-flow sampling, power iteration).
+/// `seed` drives the cut and pair sampling.
 ///
 /// Diameter, mean host distance and the ECMP throughput proxy all come
-/// from one [`csr::uniform_healthy`] pass: one distance row per switch,
-/// from bit-parallel BFS sweeps of 64 switches each, on the caller's
-/// thread.
-pub fn goodness_on(net: &Network, view: &CsrNet, seed: u64) -> GoodnessReport {
-    let pass = csr::with_scratch(|scratch| csr::uniform_healthy(view, scratch));
-    goodness_from(net, view, &pass, seed)
-}
-
-/// [`goodness_on`] from a [`csr::uniform_healthy`] pass the caller has
-/// already run on `view`, so a caller that also needs the healthy
-/// throughput scale (the resilience baseline,
-/// [`failure_resilience_from`]) runs the pass once.
+/// from `pass`, a [`csr::uniform_healthy`] pass the caller has already run
+/// on `view`: one BFS per switch, from bit-parallel sweeps of 64 switches
+/// each. A caller that also needs the healthy throughput scale (the
+/// resilience baseline, [`failure_resilience_from`]) runs the pass once.
 pub fn goodness_from(
     net: &Network,
     view: &CsrNet,
@@ -241,10 +233,16 @@ mod tests {
     use super::*;
     use crate::gen::{fat_tree, jellyfish, leaf_spine, JellyfishParams};
 
+    /// The goodness report of `net` on `view`, from its own healthy pass.
+    fn goodness(net: &Network, view: &CsrNet, seed: u64) -> GoodnessReport {
+        let pass = csr::with_scratch(|scratch| csr::uniform_healthy(view, scratch));
+        goodness_from(net, view, &pass, seed)
+    }
+
     #[test]
     fn fat_tree_goodness_sane() {
         let n = fat_tree(4, Gbps::new(100.0)).unwrap();
-        let g = goodness_on(&n, &CsrNet::build(&n), 1);
+        let g = goodness(&n, &CsrNet::build(&n), 1);
         assert_eq!(g.diameter, 4);
         assert_eq!(g.servers, 16);
         assert_eq!(g.min_edge_disjoint_paths, 2);
@@ -345,7 +343,7 @@ mod tests {
         let got: Vec<(&str, u64)> = nets
             .iter()
             .map(|(name, net)| {
-                let report = goodness_on(net, &CsrNet::build(net), 1);
+                let report = goodness(net, &CsrNet::build(net), 1);
                 (*name, cache_key(format!("{report:?}").as_bytes()))
             })
             .collect();
@@ -393,7 +391,7 @@ mod tests {
         let n = fat_tree(4, Gbps::new(100.0)).unwrap();
         let view = CsrNet::build(&n);
         let rows = csr::all_pairs_dist(&view);
-        let g = goodness_on(&n, &view, 1);
+        let g = goodness(&n, &view, 1);
         // Mean over ordered pairs of distinct switches.
         let pairs = rows.len() * (rows.len() - 1);
         let m = rows.iter().flatten().map(|&d| f64::from(d)).sum::<f64>() / pairs as f64;
@@ -414,8 +412,8 @@ mod tests {
             seed: 1,
         })
         .unwrap();
-        let gft = goodness_on(&ft, &CsrNet::build(&ft), 1);
-        let gjf = goodness_on(&jf, &CsrNet::build(&jf), 1);
+        let gft = goodness(&ft, &CsrNet::build(&ft), 1);
+        let gjf = goodness(&jf, &CsrNet::build(&jf), 1);
         assert!(
             gjf.mean_server_distance < gft.mean_server_distance,
             "jellyfish {} vs fat-tree {}",

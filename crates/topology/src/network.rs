@@ -332,27 +332,6 @@ impl Network {
         Ok(link)
     }
 
-    /// Removes a switch and all its incident links; returns removed links.
-    pub fn remove_switch(&mut self, id: SwitchId) -> Result<Vec<Link>, NetworkError> {
-        let idx = *self
-            .switch_index
-            .get(&id)
-            .ok_or(NetworkError::UnknownSwitch(id))?;
-        let incident: Vec<LinkId> = self.incident.get(&id).cloned().unwrap_or_default();
-        let mut removed = Vec::with_capacity(incident.len());
-        for l in incident {
-            removed.push(self.remove_link(l)?);
-        }
-        self.switches.swap_remove(idx);
-        self.switch_index.remove(&id);
-        if let Some(moved) = self.switches.get(idx) {
-            let mid = moved.id;
-            self.switch_index.insert(mid, idx);
-        }
-        self.incident.remove(&id);
-        Ok(removed)
-    }
-
     /// All switches, in insertion order (stable under link mutation).
     pub fn switches(&self) -> impl Iterator<Item = &Switch> {
         self.switches.iter()
@@ -381,13 +360,6 @@ impl Network {
     /// Looks up a link by id.
     pub fn link(&self, id: LinkId) -> Option<&Link> {
         self.link_index.get(&id).map(|&i| &self.links[i])
-    }
-
-    /// Mutable link lookup (used by rewiring plans to retarget endpoints is
-    /// deliberately *not* offered; rewiring removes and re-adds links so ids
-    /// reflect physical reality — a moved cable is a new cable).
-    pub fn link_mut_speed(&mut self, id: LinkId) -> Option<&mut Gbps> {
-        self.link_index.get(&id).map(|&i| &mut self.links[i].speed)
     }
 
     /// Link ids incident to a switch.
@@ -525,15 +497,6 @@ impl Network {
     pub fn degree(&self, id: SwitchId) -> usize {
         self.incident_links(id).len()
     }
-
-    /// Finds an existing link between two switches, if any.
-    pub fn find_link(&self, a: SwitchId, b: SwitchId) -> Option<LinkId> {
-        self.incident_links(a).iter().copied().find(|&l| {
-            self.link(l)
-                .and_then(|l| l.try_other(a))
-                .is_some_and(|o| o == b)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -556,8 +519,6 @@ mod tests {
         assert_eq!(n.link_count(), 2);
         assert_eq!(n.link(l1).unwrap().other(a), b);
         assert!(n.link(l2).unwrap().via_ocs);
-        assert_eq!(n.find_link(a, c), Some(l2));
-        assert_eq!(n.find_link(b, c), None);
         assert_eq!(n.neighbors(a).count(), 2);
     }
 
@@ -611,19 +572,6 @@ mod tests {
         // New links never reuse the removed id.
         let l3 = n.add_link(a, b, Gbps::new(100.0), 1, false).unwrap();
         assert_ne!(l3, l1);
-    }
-
-    #[test]
-    fn remove_switch_removes_incident_links() {
-        let (mut n, a, b, c) = tiny();
-        n.add_link(a, b, Gbps::new(100.0), 1, false).unwrap();
-        n.add_link(a, c, Gbps::new(100.0), 1, false).unwrap();
-        n.add_link(b, c, Gbps::new(100.0), 1, false).unwrap();
-        let removed = n.remove_switch(a).unwrap();
-        assert_eq!(removed.len(), 2);
-        assert_eq!(n.switch_count(), 2);
-        assert_eq!(n.link_count(), 1);
-        assert!(n.validate().is_ok());
     }
 
     #[test]

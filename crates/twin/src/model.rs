@@ -73,14 +73,6 @@ pub enum AttrValue {
 }
 
 impl AttrValue {
-    /// Numeric accessor.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            AttrValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// String accessor.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -201,17 +193,6 @@ impl TwinModel {
             .filter(move |r| &r.from == id && kind.map(|k| &r.kind == k).unwrap_or(true))
     }
 
-    /// Incoming relations of an entity, optionally filtered by kind.
-    pub fn relations_to<'a>(
-        &'a self,
-        id: &'a EntityId,
-        kind: Option<&'a RelationKind>,
-    ) -> impl Iterator<Item = &'a Relation> {
-        self.relations
-            .iter()
-            .filter(move |r| &r.to == id && kind.map(|k| &r.kind == k).unwrap_or(true))
-    }
-
     /// Relations with dangling endpoints (should be none; diff/audit use
     /// this as a corruption check).
     pub fn dangling_relations(&self) -> Vec<&Relation> {
@@ -254,8 +235,7 @@ mod tests {
                 .count(),
             1
         );
-        assert_eq!(m.relations_to(&sw, None).count(), 1);
-        assert_eq!(m.entity(&sw).unwrap().attrs["radix"].as_num(), Some(32.0));
+        assert_eq!(m.entity(&sw).unwrap().attrs["radix"], n(32.0));
     }
 
     #[test]

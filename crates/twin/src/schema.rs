@@ -209,17 +209,6 @@ impl Schema {
         }
         out
     }
-
-    /// Extends the schema with a new kind (the "schema change" a novel
-    /// design forces — explicit and reviewable, per §5.2).
-    pub fn add_kind(&mut self, kind: EntityKind, spec: KindSpec) {
-        self.kinds.insert(kind, spec);
-    }
-
-    /// Allows a new relation triple.
-    pub fn allow_relation(&mut self, kind: RelationKind, from: EntityKind, to: EntityKind) {
-        self.relations.insert((kind, from, to));
-    }
 }
 
 #[cfg(test)]
@@ -332,7 +321,9 @@ mod tests {
         let mut schema = Schema::base();
         let mut spec = KindSpec::default();
         spec.required.insert("power_mw".into(), AttrType::Num);
-        schema.add_kind(EntityKind::Custom("FreeSpaceOptic".into()), spec);
+        schema
+            .kinds
+            .insert(EntityKind::Custom("FreeSpaceOptic".into()), spec);
         assert!(schema.validate(&m).is_empty());
     }
 }
