@@ -18,7 +18,8 @@
 //! run (durations like `500ms`, `30s`, `5m`); a design that runs over is
 //! reported as `timed out: stage <name>` instead of hanging the run —
 //! **partial-success mode**: the run still exits 0 with every completed
-//! row present. `--retries N` re-runs a design that panicked or was stalled
+//! row present. The three resilience flags build one `BatchControl` that
+//! every experiment receives; E6, E19 and E20 run their batches under it. `--retries N` re-runs a design that panicked or was stalled
 //! (watchdog-cancelled) up to N extra times with seeded backoff; retries
 //! never change the deterministic outputs (see `docs/OBSERVABILITY.md`).
 //! `--metrics` prints the process-wide metrics table to **stderr** when
@@ -30,6 +31,7 @@
 
 use pd_bench::cli::CommonFlags;
 use pd_bench::{all_experiments, run_all, run_by_name};
+use pd_core::batch::BatchControl;
 use std::io::{ErrorKind, Write};
 
 fn main() {
@@ -63,7 +65,12 @@ fn main() {
         }
     }
 
-    let written = write_output(command.as_deref(), jobs, &mut std::io::stdout().lock());
+    let written = write_output(
+        command.as_deref(),
+        jobs,
+        &common.control,
+        &mut std::io::stdout().lock(),
+    );
     common.finish();
     match written {
         // A reader that stops early (`experiments list | head -1`) has
@@ -76,9 +83,14 @@ fn main() {
     }
 }
 
-/// Runs `command` and writes its output to `out`, stopping at the first
-/// write error.
-fn write_output(command: Option<&str>, jobs: usize, out: &mut impl Write) -> std::io::Result<()> {
+/// Runs `command` under `control` and writes its output to `out`,
+/// stopping at the first write error.
+fn write_output(
+    command: Option<&str>,
+    jobs: usize,
+    control: &BatchControl,
+    out: &mut impl Write,
+) -> std::io::Result<()> {
     match command {
         None | Some("list") => {
             writeln!(out, "physnet experiments (see EXPERIMENTS.md):\n")?;
@@ -92,11 +104,11 @@ fn write_output(command: Option<&str>, jobs: usize, out: &mut impl Write) -> std
             )?;
         }
         Some("all") => {
-            for (_, report) in run_all(jobs) {
+            for (_, report) in run_all(jobs, control) {
                 writeln!(out, "\n{}\n{}", "═".repeat(72), report)?;
             }
         }
-        Some(name) => match run_by_name(name) {
+        Some(name) => match run_by_name(name, control) {
             Some(report) => writeln!(out, "{report}")?,
             None => {
                 eprintln!("unknown experiment {name:?}; try `experiments list`");

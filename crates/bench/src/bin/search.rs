@@ -33,7 +33,7 @@ use std::process::exit;
 use std::sync::Arc;
 
 use pd_bench::cli::{parse, CommonFlags};
-use pd_core::batch::{ArtifactCache, BatchControl};
+use pd_core::batch::ArtifactCache;
 use pd_search::prelude::*;
 
 fn usage() -> ! {
@@ -85,21 +85,11 @@ fn main() {
         }
     }
 
-    let strategy = match strategy_name.as_str() {
-        "grid" => Strategy::Grid { budget },
-        "random" => Strategy::Random {
-            samples: budget.unwrap_or(16),
-            seed,
-        },
-        "adaptive" => Strategy::Adaptive {
-            budget: budget.unwrap_or(16),
-            eta,
-        },
-        other => {
-            eprintln!("unknown strategy {other:?}");
+    let strategy = Strategy::resolve(Some(&strategy_name), budget, Some(seed), Some(eta))
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
             usage()
-        }
-    };
+        });
     let names: Vec<&str> = axis_names.split(',').map(str::trim).collect();
     let axes = axes_by_name(&names).unwrap_or_else(|| {
         eprintln!("unknown axis in {axis_names:?}");
@@ -120,7 +110,7 @@ fn main() {
         wave,
         cache: cache_cap.map(|cap| Arc::new(ArtifactCache::with_capacity(cap))),
         progress,
-        control: BatchControl::from_globals(),
+        control: common.control.clone(),
         eval_budget,
     };
 

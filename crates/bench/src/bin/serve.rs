@@ -45,8 +45,8 @@ fn main() {
             "--jobs" | "-j" => cfg.jobs = parse("--jobs", args.next()),
             "--queue-cap" => cfg.queue_cap = parse("--queue-cap", args.next()),
             // Resilience knobs are per-server config here, not the
-            // process-wide defaults the batch bins set: the daemon owns
-            // its own BatchControl.
+            // `CommonFlags` control the batch bins build: the daemon
+            // derives a BatchControl per job.
             "--spec-timeout" => cfg.spec_timeout = Some(duration("--spec-timeout", args.next())),
             "--deadline" => cfg.default_deadline = Some(duration("--deadline", args.next())),
             "--retries" => cfg.retries = parse("--retries", args.next()),

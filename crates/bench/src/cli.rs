@@ -3,9 +3,9 @@
 //! [`parse`], [`parse_list`] and [`duration`] read one flag's value.
 //! [`CommonFlags`] is the resilience and observability dialect of
 //! `experiments` and `search`: `--spec-timeout` / `--deadline` /
-//! `--retries` set the process-wide batch-engine defaults
-//! ([`pd_core::resilience`]), and `--metrics` prints the global
-//! [`pd_metrics`] registry table on exit. `serve` parses those three
+//! `--retries` build the one [`BatchControl`] the bin passes down to
+//! every batch, and `--metrics` prints the global [`pd_metrics`]
+//! registry table on exit. `serve` parses those three
 //! flags into its own `ServerConfig` instead, and prints the table with
 //! [`emit_metrics_table`]. `client` and `loadgen` accept none of them.
 //!
@@ -15,9 +15,8 @@
 use std::process::exit;
 use std::time::Duration;
 
-use pd_core::resilience::{
-    parse_duration, set_global_deadline, set_global_retry, set_global_spec_timeout, RetryPolicy,
-};
+use pd_core::batch::BatchControl;
+use pd_core::resilience::{parse_duration, Deadline, RetryPolicy};
 
 /// Parses a flag's value, exiting 2 with the flag's name on failure or a
 /// missing value.
@@ -61,17 +60,17 @@ pub fn emit_metrics_table() {
     eprintln!(
         "global metrics (diagnostics section is scheduling-dependent; see docs/OBSERVABILITY.md):"
     );
-    let mut sink = pd_metrics::TableSink::stderr();
-    if let Err(e) = pd_metrics::Sink::emit(&mut sink, &pd_metrics::global().snapshot()) {
-        eprintln!("metrics: cannot write table: {e}");
-    }
+    eprint!("{}", pd_metrics::global().snapshot().render_table());
 }
 
 /// The flag set shared by every bin that drives the batch engine:
-/// `--spec-timeout DUR`, `--deadline DUR`, `--retries N` (process-wide
-/// resilience defaults) and `--metrics` (registry table on exit).
+/// `--spec-timeout DUR`, `--deadline DUR`, `--retries N` (the batch
+/// [`control`](Self::control)) and `--metrics` (registry table on exit).
 #[derive(Debug, Default)]
 pub struct CommonFlags {
+    /// The resilience control the flags describe; inert when none was
+    /// given. `--deadline` arms its batch deadline while parsing.
+    pub control: BatchControl,
     /// Whether `--metrics` was given.
     pub metrics: bool,
 }
@@ -88,13 +87,14 @@ impl CommonFlags {
     pub fn consume(&mut self, arg: &str, args: &mut impl Iterator<Item = String>) -> bool {
         match arg {
             "--spec-timeout" => {
-                set_global_spec_timeout(duration("--spec-timeout", args.next()));
+                self.control.spec_timeout = Some(duration("--spec-timeout", args.next()));
             }
             "--deadline" => {
-                set_global_deadline(duration("--deadline", args.next()));
+                let budget = duration("--deadline", args.next());
+                self.control.batch_deadline = Some(Deadline::after(budget));
             }
             "--retries" => {
-                set_global_retry(RetryPolicy::retries(parse("--retries", args.next())));
+                self.control.retry = RetryPolicy::retries(parse("--retries", args.next()));
             }
             "--metrics" => self.metrics = true,
             _ => return false,
@@ -125,5 +125,30 @@ mod tests {
         assert!(!flags.consume("--jobs", &mut none));
         assert!(!flags.consume("--quiet", &mut none));
         assert!(!flags.consume("metrics", &mut none));
+    }
+
+    #[test]
+    fn resilience_flags_build_the_control() {
+        let mut flags = CommonFlags::new();
+        let mut values = ["5ms", "2", "1s"].map(String::from).into_iter();
+        assert!(flags.consume("--spec-timeout", &mut values));
+        assert!(flags.consume("--retries", &mut values));
+        assert!(flags.consume("--deadline", &mut values));
+        let control = &flags.control;
+        assert_eq!(control.spec_timeout, Some(Duration::from_millis(5)));
+        assert_eq!(control.retry, RetryPolicy::retries(2));
+        let left = control.batch_deadline.expect("armed").remaining();
+        assert!(left > Duration::from_millis(500) && left <= Duration::from_secs(1));
+        assert!(!flags.metrics);
+    }
+
+    #[test]
+    fn no_flags_leave_the_control_inert() {
+        let control = CommonFlags::new().control;
+        assert_eq!(control.spec_timeout, None);
+        assert_eq!(control.batch_deadline, None);
+        assert_eq!(control.retry, RetryPolicy::none());
+        assert!(control.watchdog.is_none() && control.chaos.is_none());
+        assert!(!control.cancel.is_cancelled());
     }
 }

@@ -10,7 +10,7 @@
 //! favor the flat/expander families; the deployability columns should
 //! favor the hierarchical ones — that divergence *is* the paper's thesis.
 
-use pd_core::compare::comparison_matrix_lenient;
+use pd_core::compare::comparison_matrix;
 use pd_core::prelude::*;
 use pd_lifecycle::expansion::IndirectionLevel;
 
@@ -52,14 +52,13 @@ pub fn specs() -> Vec<DesignSpec> {
         .collect()
 }
 
-/// Runs the experiment.
+/// Runs the experiment under `control`.
 ///
 /// Runs in partial-success mode: under a `--spec-timeout`/`--deadline` (or
 /// any other per-design failure) the surviving designs still render, each
 /// failure is reported with its typed error, and the process exits 0 — a
 /// bounded run yields a usable partial comparison rather than a panic.
-/// With no failures the output is byte-identical to the strict path.
-pub fn run() -> String {
+pub fn run(control: &BatchControl) -> String {
     let mut out = String::new();
     out.push_str("E6 — why aren't expanders in wide use? (§4.2)\n");
     out.push_str(&format!(
@@ -67,19 +66,8 @@ pub fn run() -> String {
     ));
 
     let all = specs();
-    let (matrix, failures) = comparison_matrix_lenient(&all, &BatchOptions::default());
-    if !failures.is_empty() {
-        out.push_str(&format!(
-            "PARTIAL RESULTS: {} of {} designs evaluated; {} interrupted or failed\n",
-            all.len() - failures.len(),
-            all.len(),
-            failures.len(),
-        ));
-        for (name, e) in &failures {
-            out.push_str(&format!("  {name:<14} {e}\n"));
-        }
-        out.push_str("rerun without --spec-timeout/--deadline for the full comparison\n\n");
-    }
+    let (matrix, failures) = comparison_matrix(&all, &BatchOptions::default(), control);
+    out.push_str(&super::partial_results(all.len(), &failures));
     let reports = matrix.reports();
     if reports.is_empty() {
         return out;
@@ -131,12 +119,12 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pd_core::compare::comparison_matrix;
 
     #[test]
     fn the_paper_thesis_holds_in_the_model() {
-        let matrix = comparison_matrix(&specs(), &BatchOptions::default())
-            .unwrap_or_else(|(name, e)| panic!("{name}: {e}"));
+        let (matrix, failures) =
+            comparison_matrix(&specs(), &BatchOptions::default(), &BatchControl::default());
+        assert!(failures.is_empty(), "{failures:?}");
         let find = |name: &str| matrix.report(name).expect("present");
         let jf = find("jellyfish");
         let xp = find("xpander");
@@ -182,7 +170,7 @@ mod tests {
             &BatchOptions::default(),
             &ArtifactCache::new(),
             None,
-            &BatchControl::from_globals(),
+            &BatchControl::default(),
         );
         for (spec, result) in specs.iter().zip(results) {
             let ev = result.unwrap_or_else(|e| panic!("{}: {e}", spec.name));

@@ -11,6 +11,7 @@
 //! retention random link failures of equal magnitude would predict, is the
 //! resilience gap the section warns about.
 
+use pd_core::compare::comparison_matrix;
 use pd_core::prelude::*;
 use pd_lifecycle::{FaultDomain, FaultScenario, FaultSweepParams, Injector};
 use pd_topology::csr::CsrNet;
@@ -63,14 +64,18 @@ pub fn specs() -> Vec<DesignSpec> {
         .collect()
 }
 
-/// Runs the experiment.
-pub fn run() -> String {
-    run_with(&BatchOptions::default())
+/// Runs the experiment under `control`.
+///
+/// Runs in partial-success mode, like E6: designs that fail to evaluate
+/// (e.g. under a `--spec-timeout`/`--deadline`) are listed with their
+/// typed errors and the surviving designs still render.
+pub fn run(control: &BatchControl) -> String {
+    run_with(&BatchOptions::default(), control)
 }
 
-/// [`run`] with explicit batch options (the CLI threads its `--jobs` here
-/// indirectly; output is byte-identical at any job count).
-pub fn run_with(opts: &BatchOptions) -> String {
+/// [`run`] with explicit batch options; output is byte-identical at any
+/// job count.
+pub fn run_with(opts: &BatchOptions, control: &BatchControl) -> String {
     let mut out = String::new();
     out.push_str("E19 — correlated fault domains vs abstract resilience (§3.3)\n");
     out.push_str(&format!(
@@ -79,37 +84,31 @@ pub fn run_with(opts: &BatchOptions) -> String {
     ));
 
     let specs = specs();
-    let results = evaluate_many_controlled(
-        &specs,
-        opts,
-        &ArtifactCache::new(),
-        None,
-        &BatchControl::from_globals(),
-    );
-    let evals: Vec<&Evaluation> = specs
-        .iter()
-        .zip(&results)
-        .map(|(spec, r)| match r {
-            Ok(ev) => ev,
-            Err(e) => panic!("{}: {e}", spec.name),
-        })
-        .collect();
+    let (matrix, failures) = comparison_matrix(&specs, opts, control);
+    out.push_str(&super::partial_results(specs.len(), &failures));
+    let evals = &matrix.evaluations;
+    if evals.is_empty() {
+        return out;
+    }
 
     // Named-scenario table: rows are fault kinds, columns families.
     let scenarios = named_scenarios();
     out.push_str("| capacity retained |");
-    for ev in &evals {
+    for ev in evals {
         out.push_str(&format!(" {} |", ev.report.name));
     }
     out.push_str("\n|---|");
-    for _ in &evals {
+    for _ in evals {
         out.push_str("---|");
     }
     out.push('\n');
-    let injectors: Vec<Injector> = specs
+    let injectors: Vec<Injector> = evals
         .iter()
-        .zip(&evals)
-        .map(|(spec, ev)| {
+        .map(|ev| {
+            let spec = specs
+                .iter()
+                .find(|s| s.name == ev.report.name)
+                .expect("every evaluation comes from a spec");
             Injector::new(
                 &ev.network,
                 &ev.hall,
@@ -137,7 +136,7 @@ pub fn run_with(opts: &BatchOptions) -> String {
 
     // Sweep summary from the pipeline's report fields.
     out.push_str("\nseeded ensemble (8 scenarios, ≤2 domains each):\n");
-    for ev in &evals {
+    for ev in evals {
         let r = &ev.report;
         out.push_str(&format!(
             "  {:<12} mean retention {:>4.0}%  worst {:>4.0}%  phys-vs-logical gap {:+.0}pp\n",
@@ -165,7 +164,7 @@ mod tests {
 
     #[test]
     fn output_covers_four_fault_kinds_per_family() {
-        let text = run();
+        let text = run(&BatchControl::default());
         for sc in named_scenarios() {
             assert!(text.contains(&sc.name), "missing scenario row {}", sc.name);
         }
@@ -177,8 +176,9 @@ mod tests {
 
     #[test]
     fn output_is_deterministic_across_job_counts() {
-        let serial = run_with(&BatchOptions::jobs(1));
-        let parallel = run_with(&BatchOptions::jobs(8));
+        let control = BatchControl::default();
+        let serial = run_with(&BatchOptions::jobs(1), &control);
+        let parallel = run_with(&BatchOptions::jobs(8), &control);
         assert_eq!(serial, parallel);
     }
 
@@ -190,7 +190,7 @@ mod tests {
             &BatchOptions::default(),
             &ArtifactCache::new(),
             None,
-            &BatchControl::from_globals(),
+            &BatchControl::default(),
         );
         for (spec, r) in specs.iter().zip(results) {
             let ev = r.unwrap_or_else(|e| panic!("{}: {e}", spec.name));

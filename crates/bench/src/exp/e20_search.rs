@@ -46,21 +46,21 @@ pub fn config() -> SearchConfig {
         },
         jobs: 0,
         wave: 8,
-        control: BatchControl::from_globals(),
         ..SearchConfig::default()
     }
 }
 
-/// Runs the experiment.
-pub fn run() -> String {
-    run_with(&BatchOptions::default())
+/// Runs the experiment under `control`.
+pub fn run(control: &BatchControl) -> String {
+    run_with(&BatchOptions::default(), control)
 }
 
 /// [`run`] with explicit batch options; output is byte-identical at any
 /// job count (the search inherits the batch engine's contract).
-pub fn run_with(opts: &BatchOptions) -> String {
+pub fn run_with(opts: &BatchOptions, control: &BatchControl) -> String {
     let mut cfg = config();
     cfg.jobs = opts.jobs;
+    cfg.control = control.clone();
     let out_search = run_search(&cfg);
     let records = &out_search.records;
 
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn output_has_frontier_and_envelope_sections() {
-        let text = run();
+        let text = run(&BatchControl::default());
         assert!(text.contains("Pareto frontier"), "{text}");
         assert!(text.contains("feasibility envelope"), "{text}");
         assert!(
@@ -156,8 +156,9 @@ mod tests {
 
     #[test]
     fn output_is_deterministic_across_job_counts() {
-        let serial = run_with(&BatchOptions::jobs(1));
-        let parallel = run_with(&BatchOptions::jobs(8));
+        let control = BatchControl::default();
+        let serial = run_with(&BatchOptions::jobs(1), &control);
+        let parallel = run_with(&BatchOptions::jobs(8), &control);
         assert_eq!(serial, parallel);
     }
 }

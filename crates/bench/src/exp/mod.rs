@@ -44,8 +44,12 @@ pub mod e18_ablations;
 pub mod e19_faultdomains;
 pub mod e20_search;
 
-/// One experiment: (name, description, runner).
-pub type Experiment = (&'static str, &'static str, fn() -> String);
+use pd_core::batch::BatchControl;
+use pd_core::pipeline::EvalError;
+
+/// One experiment: (name, description, runner). The runner takes the
+/// resilience control the CLI parsed; only E6, E19 and E20 read it.
+pub type Experiment = (&'static str, &'static str, fn(&BatchControl) -> String);
 
 /// Every experiment, in running order.
 pub fn all_experiments() -> Vec<Experiment> {
@@ -53,68 +57,64 @@ pub fn all_experiments() -> Vec<Experiment> {
         (
             "e1",
             "§2.3: +5 min/item × 10k items; stranded capital",
-            e01_time::run,
+            |_| e01_time::run(),
         ),
         (
             "e2",
             "§3.1: DAC diameter growth, rack feasibility, AEC",
-            e02_cables::run,
+            |_| e02_cables::run(),
         ),
-        ("e3", "§3.1: pre-built bundle savings", e03_bundles::run),
-        (
-            "e4",
-            "§4.1: indirection and expansion rewiring",
-            e04_indirection::run,
-        ),
-        ("e5", "§4.1: OCS topology engineering", e05_ocs::run),
+        ("e3", "§3.1: pre-built bundle savings", |_| {
+            e03_bundles::run()
+        }),
+        ("e4", "§4.1: indirection and expansion rewiring", |_| {
+            e04_indirection::run()
+        }),
+        ("e5", "§4.1: OCS topology engineering", |_| e05_ocs::run()),
         (
             "e6",
             "§4.2: topology families, goodness vs deployability",
             e06_families::run,
         ),
-        (
-            "e7",
-            "§4.2: incremental ToR addition cost",
-            e07_incremental::run,
-        ),
+        ("e7", "§4.2: incremental ToR addition cost", |_| {
+            e07_incremental::run()
+        }),
         (
             "e8",
             "§4.3: live fat-tree→direct-connect conversion",
-            e08_conversion::run,
+            |_| e08_conversion::run(),
         ),
-        (
-            "e9",
-            "§3.3: unit of repair and availability",
-            e09_repair::run,
-        ),
-        (
-            "e10",
-            "§5.3: digital-twin early detection value",
-            e10_twin::run,
-        ),
-        (
-            "e11",
-            "§3.4: heterogeneity / diversity support",
-            e11_diversity::run,
-        ),
-        ("e12", "§2.1: decom safety", e12_decom::run),
-        ("e13", "§3.5: day-1 vs lifetime cost", e13_tco::run),
+        ("e9", "§3.3: unit of repair and availability", |_| {
+            e09_repair::run()
+        }),
+        ("e10", "§5.3: digital-twin early detection value", |_| {
+            e10_twin::run()
+        }),
+        ("e11", "§3.4: heterogeneity / diversity support", |_| {
+            e11_diversity::run()
+        }),
+        ("e12", "§2.1: decom safety", |_| e12_decom::run()),
+        ("e13", "§3.5: day-1 vs lifetime cost", |_| e13_tco::run()),
         (
             "e14",
             "§2.2: supply-chain fungibility and vendor outages",
-            e14_supply::run,
+            |_| e14_supply::run(),
         ),
-        ("e15", "§2: human vs robotic deployment", e15_robots::run),
-        ("e16", "§3.1: free-space optics vs cables", e16_fso::run),
+        ("e15", "§2: human vs robotic deployment", |_| {
+            e15_robots::run()
+        }),
+        ("e16", "§3.1: free-space optics vs cables", |_| {
+            e16_fso::run()
+        }),
         (
             "e17",
             "§3.5: incremental deployment under forecast error",
-            e17_phased::run,
+            |_| e17_phased::run(),
         ),
         (
             "e18",
             "toolkit ablations: modeling-knob sensitivity",
-            e18_ablations::run,
+            |_| e18_ablations::run(),
         ),
         (
             "e19",
@@ -129,23 +129,23 @@ pub fn all_experiments() -> Vec<Experiment> {
     ]
 }
 
-/// Runs an experiment by name; `None` if unknown.
-pub fn run_by_name(name: &str) -> Option<String> {
+/// Runs an experiment by name under `control`; `None` if unknown.
+pub fn run_by_name(name: &str, control: &BatchControl) -> Option<String> {
     all_experiments()
         .into_iter()
         .find(|(n, _, _)| *n == name)
-        .map(|(_, _, f)| f())
+        .map(|(_, _, f)| f(control))
 }
 
-/// Runs every experiment, fanning independent ones out over `jobs` worker
-/// threads (`1` = serial, `0` = one per available core).
+/// Runs every experiment under `control`, fanning independent ones out
+/// over `jobs` worker threads (`1` = serial, `0` = one per available core).
 ///
 /// Experiments share no mutable state and are deterministic, so the only
 /// effect of `jobs` is wall-clock time: the returned `(name, report)` pairs
 /// are always in registry order with byte-identical text. Workers claim the
 /// next un-started experiment from a shared counter, so one slow experiment
 /// (E6) doesn't idle the pool behind a static split.
-pub fn run_all(jobs: usize) -> Vec<(&'static str, String)> {
+pub fn run_all(jobs: usize, control: &BatchControl) -> Vec<(&'static str, String)> {
     let all = all_experiments();
     let jobs = if jobs == 0 {
         std::thread::available_parallelism()
@@ -158,7 +158,7 @@ pub fn run_all(jobs: usize) -> Vec<(&'static str, String)> {
     .max(1);
 
     if jobs <= 1 {
-        return all.into_iter().map(|(n, _, f)| (n, f())).collect();
+        return all.into_iter().map(|(n, _, f)| (n, f(control))).collect();
     }
 
     let next = std::sync::atomic::AtomicUsize::new(0);
@@ -174,7 +174,7 @@ pub fn run_all(jobs: usize) -> Vec<(&'static str, String)> {
                         if i >= all.len() {
                             break;
                         }
-                        local.push((i, (all[i].2)()));
+                        local.push((i, (all[i].2)(control)));
                     }
                     local
                 })
@@ -196,6 +196,26 @@ pub fn run_all(jobs: usize) -> Vec<(&'static str, String)> {
         .collect()
 }
 
+/// The partial-success preamble of an experiment whose designs did not
+/// all evaluate (e.g. under `--spec-timeout`/`--deadline`): a count, one
+/// typed error line per failed design, in spec order, and a hint. Empty
+/// when nothing failed, so a complete run's output is unchanged.
+fn partial_results(total: usize, failures: &[(String, EvalError)]) -> String {
+    if failures.is_empty() {
+        return String::new();
+    }
+    let mut out = format!(
+        "PARTIAL RESULTS: {} of {total} designs evaluated; {} interrupted or failed\n",
+        total - failures.len(),
+        failures.len(),
+    );
+    for (name, e) in failures {
+        out.push_str(&format!("  {name:<14} {e}\n"));
+    }
+    out.push_str("rerun without --spec-timeout/--deadline for the full comparison\n\n");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,6 +227,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 20);
-        assert!(run_by_name("nope").is_none());
+        assert!(run_by_name("nope", &BatchControl::default()).is_none());
     }
 }

@@ -46,9 +46,9 @@
 //!   reports, unfinished slots get typed `Cancelled`/`TimedOut` errors, in
 //!   spec order, never a hang), a seeded bounded-backoff [`RetryPolicy`]
 //!   for transient failures, and an optional watchdog supervisor that
-//!   cancels specs whose worker heartbeat stalls. The CLI's
-//!   `--spec-timeout`/`--deadline`/`--retries` flags set process-wide
-//!   defaults that [`BatchControl::from_globals`] picks up. With parking,
+//!   cancels specs whose worker heartbeat stalls. The CLI bins parse
+//!   `--spec-timeout`/`--deadline`/`--retries` into the one
+//!   [`BatchControl`] they pass down. With parking,
 //!   one attempt may span several resumes, on different workers; each
 //!   resume runs under `catch_unwind` and the heartbeat of the worker
 //!   running it, and a spec's timeout keeps running while it is parked (it
@@ -87,7 +87,7 @@
 //!     &BatchOptions::jobs(2),
 //!     &ArtifactCache::new(),
 //!     None,
-//!     &BatchControl::from_globals(),
+//!     &BatchControl::default(),
 //! );
 //! assert_eq!(results.len(), 3);
 //! // Results arrive in spec order, whatever the thread schedule was.
@@ -108,10 +108,7 @@ use crate::artifacts::{lock, Flight};
 use crate::chaos::ChaosPlan;
 use crate::design::DesignSpec;
 use crate::pipeline::{EvalError, Evaluation};
-use crate::resilience::{
-    global_deadline, global_retry, global_spec_timeout, monotonic_nanos, CancelToken, Deadline,
-    RetryPolicy, WatchdogConfig,
-};
+use crate::resilience::{monotonic_nanos, CancelToken, Deadline, RetryPolicy, WatchdogConfig};
 use crate::stages::{take_current_stage, Stage, StageState, StageTrace};
 
 /// Options for a batch-evaluation run.
@@ -206,8 +203,7 @@ fn batch_metrics() -> &'static BatchMetrics {
 /// watchdog supervision, and the chaos test hook.
 ///
 /// [`BatchControl::default`] is fully inert — no timeouts, no retries, a
-/// never-cancelled token. [`BatchControl::from_globals`] adds the CLI's
-/// process-wide defaults.
+/// never-cancelled token.
 #[derive(Debug, Clone, Default)]
 pub struct BatchControl {
     /// Batch-wide cancellation: cancelling this token stops every spec at
@@ -228,22 +224,6 @@ pub struct BatchControl {
     pub watchdog: Option<WatchdogConfig>,
     /// Chaos injection plan (tests only; `None` in production).
     pub chaos: Option<Arc<ChaosPlan>>,
-}
-
-impl BatchControl {
-    /// An inert control, except for the process-wide CLI defaults
-    /// (`--spec-timeout`, `--deadline`, `--retries` — see
-    /// [`crate::resilience`]) when those were set.
-    pub fn from_globals() -> Self {
-        Self {
-            cancel: CancelToken::new(),
-            spec_timeout: global_spec_timeout(),
-            batch_deadline: global_deadline(),
-            retry: global_retry().unwrap_or_else(RetryPolicy::none),
-            watchdog: None,
-            chaos: None,
-        }
-    }
 }
 
 /// One worker's supervision surface: the heartbeat the stage executor
@@ -522,8 +502,7 @@ impl<'a> Batch<'a> {
 /// reuse its artifacts; pass a fresh [`ArtifactCache::new`] for a
 /// self-contained batch, or a caller-owned cache to share work across
 /// batches (e.g. an experiment that sweeps one knob per batch over a fixed
-/// topology set). [`BatchControl::from_globals`] applies the CLI's
-/// `--spec-timeout`, `--deadline` and `--retries`.
+/// topology set).
 ///
 /// With `Some(trace)`, every evaluation in the batch records its stage
 /// wall times and artifact counts into it (atomics, shared safely across
@@ -628,7 +607,7 @@ mod tests {
     use pd_geometry::Gbps;
     use pd_topology::gen::JellyfishParams;
 
-    /// A self-contained batch under the process-wide defaults.
+    /// A self-contained batch under an inert control.
     fn run(specs: &[DesignSpec], jobs: usize) -> Vec<Result<Evaluation, EvalError>> {
         run_with(specs, jobs, &ArtifactCache::new())
     }
@@ -638,7 +617,7 @@ mod tests {
         jobs: usize,
         cache: &ArtifactCache,
     ) -> Vec<Result<Evaluation, EvalError>> {
-        let control = BatchControl::from_globals();
+        let control = BatchControl::default();
         evaluate_many_controlled(specs, &BatchOptions::jobs(jobs), cache, None, &control)
     }
 
@@ -782,7 +761,7 @@ mod tests {
             &BatchOptions::jobs(3),
             &cache,
             Some(&trace),
-            &BatchControl::from_globals(),
+            &BatchControl::default(),
         );
         let n = specs.len() as u64;
         for stage in Stage::ALL {

@@ -219,40 +219,18 @@ pub struct ComparisonMatrix {
     pub evaluations: Vec<Evaluation>,
 }
 
-/// Evaluates `specs` (fanned out per `opts`) into a [`ComparisonMatrix`].
-///
-/// Any design failing to evaluate fails the whole matrix — a comparison
-/// with holes answers the wrong question — and the error names the first
-/// failing spec *in spec order*, independent of the thread schedule.
+/// Evaluates `specs` (fanned out per `opts`, under `control`) into a
+/// [`ComparisonMatrix`] of the designs that evaluated, still in spec
+/// order, and the failures — e.g. typed `TimedOut` slots under a per-spec
+/// timeout — alongside it, also in spec order and independent of the
+/// thread schedule. A caller that needs every design (a comparison with
+/// holes answers the wrong question) treats any failure as an error.
 pub fn comparison_matrix(
     specs: &[DesignSpec],
     opts: &BatchOptions,
-) -> Result<ComparisonMatrix, (String, EvalError)> {
-    let (matrix, mut failures) = comparison_matrix_lenient(specs, opts);
-    if failures.is_empty() {
-        Ok(matrix)
-    } else {
-        Err(failures.remove(0))
-    }
-}
-
-/// [`comparison_matrix`] in partial-success mode: evaluations that
-/// succeeded make up the matrix (still in spec order) and the failures —
-/// e.g. typed `TimedOut` slots under a `--spec-timeout` — come back
-/// alongside it, in spec order, instead of voiding the whole comparison.
-/// The strict [`comparison_matrix`] is exactly this with "any failure
-/// fails the matrix" layered on top.
-pub fn comparison_matrix_lenient(
-    specs: &[DesignSpec],
-    opts: &BatchOptions,
+    control: &BatchControl,
 ) -> (ComparisonMatrix, Vec<(String, EvalError)>) {
-    let results = evaluate_many_controlled(
-        specs,
-        opts,
-        &ArtifactCache::new(),
-        None,
-        &BatchControl::from_globals(),
-    );
+    let results = evaluate_many_controlled(specs, opts, &ArtifactCache::new(), None, control);
     let mut evaluations = Vec::with_capacity(results.len());
     let mut failures = Vec::new();
     for (spec, result) in specs.iter().zip(results) {
@@ -336,7 +314,9 @@ mod tests {
             mk("ft", fat_tree_near(64, SPEED)),
             mk("jf", jellyfish_near(64, SPEED, 7)),
         ];
-        let m = comparison_matrix(&specs, &BatchOptions::jobs(2)).unwrap();
+        let (m, failures) =
+            comparison_matrix(&specs, &BatchOptions::jobs(2), &BatchControl::default());
+        assert!(failures.is_empty());
         assert_eq!(m.evaluations.len(), 2);
         assert_eq!(m.reports()[0].name, "ft");
         assert_eq!(m.reports()[1].name, "jf");
@@ -346,7 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn comparison_matrix_names_first_failing_spec() {
+    fn comparison_matrix_returns_failures_in_spec_order() {
         let mut bad = DesignSpec::new("bad", fat_tree_near(64, SPEED));
         bad.hall.rows = 1;
         bad.hall.slots_per_row = 2;
@@ -354,12 +334,10 @@ mod tests {
         bad2.name = "bad2".into();
         let good = DesignSpec::new("good", fat_tree_near(64, SPEED));
         let specs = [good, bad, bad2];
-        let err = comparison_matrix(&specs, &BatchOptions::jobs(3)).unwrap_err();
-        assert_eq!(err.0, "bad");
-        assert!(matches!(err.1, EvalError::Placement(_)));
-
-        // Lenient mode keeps the survivors and reports every failure.
-        let (matrix, failures) = comparison_matrix_lenient(&specs, &BatchOptions::jobs(3));
+        let (matrix, failures) =
+            comparison_matrix(&specs, &BatchOptions::jobs(3), &BatchControl::default());
+        assert!(matches!(failures[0].1, EvalError::Placement(_)));
+        // The survivors still make up the matrix.
         assert_eq!(matrix.evaluations.len(), 1);
         assert_eq!(matrix.reports()[0].name, "good");
         let failed: Vec<&str> = failures.iter().map(|(n, _)| n.as_str()).collect();

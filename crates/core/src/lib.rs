@@ -83,7 +83,7 @@
 //!     &BatchOptions::default(),
 //!     &ArtifactCache::new(),
 //!     None, // no per-stage trace
-//!     &BatchControl::from_globals(),
+//!     &BatchControl::default(),
 //! );
 //! assert!(results.iter().all(|r| r.is_ok()));
 //! assert_eq!(results[0].as_ref().unwrap().report, one.report);

@@ -24,13 +24,11 @@
 //!   introduce nondeterminism, and retried attempts are excluded from the
 //!   deterministic count metrics (see `docs/OBSERVABILITY.md`).
 //!
-//! The CLI bins (`experiments`, `search`) configure process-wide
-//! defaults through the set-once globals ([`set_global_spec_timeout`],
-//! [`set_global_deadline`], [`set_global_retry`]), because the experiment
-//! registry cannot thread per-run options into each experiment's internal
-//! batch calls; those pass [`crate::batch::BatchControl::from_globals`].
-//! Library callers build an explicit [`crate::batch::BatchControl`]
-//! instead and never touch the globals.
+//! Every batch takes these through one explicit
+//! [`crate::batch::BatchControl`]. The CLI bins (`experiments`, `search`)
+//! parse `--spec-timeout`, `--deadline` and `--retries` into one and pass
+//! it down; library callers build their own, or pass
+//! [`crate::batch::BatchControl::default`] for an inert one.
 //!
 //! **Determinism caveat:** deadlines and watchdogs observe the wall clock,
 //! so *which* specs time out can vary run to run. The engine's contracts
@@ -354,45 +352,6 @@ pub fn parse_duration(s: &str) -> Result<Duration, DurationParseError> {
         return Err(DurationParseError::Overflow(s.to_string()));
     }
     Ok(parsed)
-}
-
-static GLOBAL_SPEC_TIMEOUT: OnceLock<Duration> = OnceLock::new();
-static GLOBAL_DEADLINE: OnceLock<Deadline> = OnceLock::new();
-static GLOBAL_RETRY: OnceLock<RetryPolicy> = OnceLock::new();
-
-/// Sets the process-wide default per-spec timeout (the `--spec-timeout`
-/// CLI flag). Set-once: returns `false` (and changes nothing) if a value
-/// was already set. Library callers should prefer an explicit
-/// [`crate::batch::BatchControl`].
-pub fn set_global_spec_timeout(timeout: Duration) -> bool {
-    GLOBAL_SPEC_TIMEOUT.set(timeout).is_ok()
-}
-
-/// The process-wide default per-spec timeout, if one was set.
-pub fn global_spec_timeout() -> Option<Duration> {
-    GLOBAL_SPEC_TIMEOUT.get().copied()
-}
-
-/// Arms the process-wide deadline `budget` from now (the `--deadline` CLI
-/// flag). Set-once: returns `false` if already armed.
-pub fn set_global_deadline(budget: Duration) -> bool {
-    GLOBAL_DEADLINE.set(Deadline::after(budget)).is_ok()
-}
-
-/// The process-wide deadline, if armed.
-pub fn global_deadline() -> Option<Deadline> {
-    GLOBAL_DEADLINE.get().copied()
-}
-
-/// Sets the process-wide default retry policy (the `--retries` CLI flag).
-/// Set-once: returns `false` if already set.
-pub fn set_global_retry(policy: RetryPolicy) -> bool {
-    GLOBAL_RETRY.set(policy).is_ok()
-}
-
-/// The process-wide default retry policy, if one was set.
-pub fn global_retry() -> Option<RetryPolicy> {
-    GLOBAL_RETRY.get().cloned()
 }
 
 #[cfg(test)]

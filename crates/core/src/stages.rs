@@ -1485,7 +1485,7 @@ mod tests {
                     &BatchOptions::jobs(jobs),
                     &cache,
                     None,
-                    &BatchControl::from_globals(),
+                    &BatchControl::default(),
                 );
                 let evals: Vec<Evaluation> = results.into_iter().map(Result::unwrap).collect();
                 for (ev, &i) in evals.iter().zip(&order) {

@@ -39,7 +39,7 @@ fn matrix() -> Vec<DesignSpec> {
 /// renders the Count-class section of the resulting snapshot.
 fn count_section(jobs: usize, cache: &ArtifactCache) -> String {
     pd_metrics::global().reset();
-    let (opts, control) = (BatchOptions::jobs(jobs), BatchControl::from_globals());
+    let (opts, control) = (BatchOptions::jobs(jobs), BatchControl::default());
     for result in evaluate_many_controlled(&matrix(), &opts, cache, None, &control) {
         result.expect("every matrix spec evaluates");
     }

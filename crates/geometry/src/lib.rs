@@ -23,13 +23,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aabb;
 pub mod point;
 pub mod polyline;
 pub mod route;
 pub mod units;
 
-pub use aabb::Aabb2;
 pub use point::{Point2, Point3};
 pub use polyline::Polyline;
 pub use route::{

@@ -7,8 +7,9 @@
 //! cells (the same discipline as `pd_core::stages::StageTrace`), collected
 //! in a [`MetricsRegistry`] under hierarchical dotted names
 //! (`pipeline.place.wall_ns`, `cache.gen.hits`, `search.rung_a.pruned`)
-//! and drained through pluggable [`sink`]s — a pretty table for stderr and
-//! deterministic-field JSON for files.
+//! and drained as a [`MetricsSnapshot`] — a pretty table for stderr
+//! ([`MetricsSnapshot::render_table`]) and deterministic-field JSON for
+//! files ([`MetricsSnapshot::to_json`]).
 //!
 //! ## The determinism contract
 //!
@@ -42,7 +43,7 @@
 //!   registration time; instrument sites cache their `Arc` handles (see
 //!   `pd_core::batch` for the idiom).
 //! * **Zero policy.** The crate never prints, never samples, never
-//!   truncates; deciding when to snapshot and where to sink is entirely
+//!   truncates; deciding when to snapshot and where to write it is entirely
 //!   the caller's.
 //!
 //! ```
@@ -67,18 +68,8 @@
 pub mod cells;
 pub mod json;
 pub mod registry;
-pub mod sink;
 pub mod snapshot;
 
 pub use cells::{Counter, Gauge, Histogram};
 pub use registry::{global, Class, MetricError, MetricKind, MetricsRegistry};
-pub use sink::{JsonSink, Sink, TableSink};
 pub use snapshot::{MetricValue, MetricsSnapshot, SnapshotEntry};
-
-/// One-stop imports for instrument sites and snapshot consumers.
-pub mod prelude {
-    pub use crate::cells::{Counter, Gauge, Histogram};
-    pub use crate::registry::{global, Class, MetricError, MetricKind, MetricsRegistry};
-    pub use crate::sink::{JsonSink, Sink, TableSink};
-    pub use crate::snapshot::{MetricValue, MetricsSnapshot, SnapshotEntry};
-}

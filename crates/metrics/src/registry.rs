@@ -2,7 +2,7 @@
 //!
 //! Names are dotted paths (`pipeline.place.wall_ns`, `cache.gen.hits`,
 //! `search.rung_a.pruned`): purely a naming convention — the registry
-//! stores a flat sorted map — but sinks group and sort by it, so related
+//! stores a flat sorted map — but the table groups and sorts by it, so related
 //! metrics render together. Registration is get-or-create: asking for an
 //! existing name with the same kind, class, and (for histograms) bucket
 //! layout returns a handle to the *same* cell, so independent instrument
@@ -33,7 +33,7 @@ pub enum Class {
 }
 
 impl Class {
-    /// Stable lowercase name, used in snapshots and sink output.
+    /// Stable lowercase name, used in snapshots and their renderings.
     pub fn name(self) -> &'static str {
         match self {
             Class::Count => "count",
@@ -357,7 +357,7 @@ static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 ///
 /// Always available and always recording (a disabled counter would cost
 /// the same branch the increment costs); whether anything is *reported* is
-/// the caller's choice — the CLI bins only sink it behind `--metrics`, and
+/// the caller's choice — the CLI bins only print it behind `--metrics`, and
 /// the offline benchmark reads it after each run.
 pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)

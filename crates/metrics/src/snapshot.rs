@@ -111,7 +111,8 @@ impl MetricsSnapshot {
         out
     }
 
-    /// The human table the stderr sink prints: class-grouped, name-aligned.
+    /// The human table `--metrics` prints on stderr: class-grouped,
+    /// name-aligned.
     pub fn render_table(&self) -> String {
         let width = self
             .entries

@@ -76,7 +76,8 @@ pub struct SearchConfig {
     /// passes, the run stops at the next stage boundary / wave edge,
     /// flushes the completed records, and returns with
     /// [`SearchOutcome::interrupted`] set. The default is inert; the
-    /// `search` bin and E20 pass the CLI's process-wide defaults.
+    /// `search` bin and E20 pass the control their command line's
+    /// `--spec-timeout`/`--deadline`/`--retries` built.
     pub control: BatchControl,
     /// Stop (gracefully, like cancellation) before starting a wave that
     /// would push the number of full evaluations past this budget.

@@ -456,6 +456,33 @@ impl Strategy {
         }
     }
 
+    /// The strategy a name and its optional knobs describe — the one
+    /// parser behind the `search` bin's flags and the serve protocol's
+    /// search requests. `name` defaults to `grid`, `budget` to 16 for the
+    /// sampled strategies, `seed` to 11 and `eta` to 2 (clamped ≥ 2). The
+    /// error names the unknown strategy.
+    pub fn resolve(
+        name: Option<&str>,
+        budget: Option<usize>,
+        seed: Option<u64>,
+        eta: Option<usize>,
+    ) -> Result<Strategy, String> {
+        match name.unwrap_or("grid") {
+            "grid" => Ok(Strategy::Grid { budget }),
+            "random" => Ok(Strategy::Random {
+                samples: budget.unwrap_or(16),
+                seed: seed.unwrap_or(11),
+            }),
+            "adaptive" => Ok(Strategy::Adaptive {
+                budget: budget.unwrap_or(16),
+                eta: eta.unwrap_or(2).max(2),
+            }),
+            other => Err(format!(
+                "unknown strategy {other:?} (known: grid, random, adaptive)"
+            )),
+        }
+    }
+
     /// Short display name for progress output.
     pub fn name(&self) -> &'static str {
         match self {
@@ -481,6 +508,26 @@ mod tests {
             fault_scenarios: vec![0],
             trials: TrialProfile::default(),
         }
+    }
+
+    #[test]
+    fn strategies_resolve_with_defaults() {
+        assert_eq!(
+            Strategy::resolve(None, Some(5), None, None).unwrap(),
+            Strategy::Grid { budget: Some(5) }
+        );
+        assert_eq!(
+            Strategy::resolve(Some("random"), None, Some(3), None).unwrap(),
+            Strategy::Random {
+                samples: 16,
+                seed: 3
+            }
+        );
+        assert_eq!(
+            Strategy::resolve(Some("adaptive"), Some(4), None, Some(3)).unwrap(),
+            Strategy::Adaptive { budget: 4, eta: 3 }
+        );
+        assert!(Strategy::resolve(Some("annealing"), None, None, None).is_err());
     }
 
     #[test]

@@ -44,9 +44,7 @@
 
 use pd_core::DeployabilityReport;
 use pd_metrics::json::{self, Parser, Value};
-use pd_search::{
-    Family, HallVariant, MediaPolicy, ParamSpace, Point, PointRecord, Strategy, TrialProfile,
-};
+use pd_search::{Family, HallVariant, MediaPolicy, ParamSpace, Point, PointRecord, TrialProfile};
 
 /// Default bound on one request line (bytes, newline excluded). A line
 /// that exceeds the server's bound is answered with a typed `bad_request`
@@ -511,30 +509,6 @@ impl WireSpace {
             space.trials.repair_trials = r;
         }
         Ok(space)
-    }
-}
-
-/// Resolves a search request's strategy fields. The error is the
-/// `bad_request` detail.
-pub fn resolve_strategy(
-    name: Option<&str>,
-    budget: Option<usize>,
-    seed: Option<u64>,
-    eta: Option<usize>,
-) -> Result<Strategy, String> {
-    match name.unwrap_or("grid") {
-        "grid" => Ok(Strategy::Grid { budget }),
-        "random" => Ok(Strategy::Random {
-            samples: budget.unwrap_or(16),
-            seed: seed.unwrap_or(11),
-        }),
-        "adaptive" => Ok(Strategy::Adaptive {
-            budget: budget.unwrap_or(16),
-            eta: eta.unwrap_or(2).max(2),
-        }),
-        other => Err(format!(
-            "unknown strategy {other:?} (known: grid, random, adaptive)"
-        )),
     }
 }
 
@@ -1293,26 +1267,6 @@ mod tests {
         }
         .resolve()
         .is_err());
-    }
-
-    #[test]
-    fn strategies_resolve_with_defaults() {
-        assert_eq!(
-            resolve_strategy(None, Some(5), None, None).unwrap(),
-            Strategy::Grid { budget: Some(5) }
-        );
-        assert_eq!(
-            resolve_strategy(Some("random"), None, Some(3), None).unwrap(),
-            Strategy::Random {
-                samples: 16,
-                seed: 3
-            }
-        );
-        assert_eq!(
-            resolve_strategy(Some("adaptive"), Some(4), None, Some(3)).unwrap(),
-            Strategy::Adaptive { budget: 4, eta: 3 }
-        );
-        assert!(resolve_strategy(Some("annealing"), None, None, None).is_err());
     }
 
     #[test]

@@ -693,15 +693,11 @@ fn handle_request(
                     ),
                 ));
             }
-            let strategy = match crate::proto::resolve_strategy(
-                req.strategy.as_deref(),
-                req.budget,
-                req.seed,
-                req.eta,
-            ) {
-                Ok(s) => s,
-                Err(e) => return Some(Response::bad_request(req.id, e)),
-            };
+            let strategy =
+                match Strategy::resolve(req.strategy.as_deref(), req.budget, req.seed, req.eta) {
+                    Ok(s) => s,
+                    Err(e) => return Some(Response::bad_request(req.id, e)),
+                };
             Work::Search { space, strategy }
         }
     };

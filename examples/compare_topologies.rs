@@ -30,8 +30,12 @@ fn main() {
     println!("evaluating {} designs at ≈{target} servers…\n", specs.len());
     // The matrix evaluates through the batch engine: one worker per core,
     // identical output at any job count.
-    let matrix = comparison_matrix(&specs, &BatchOptions::default())
-        .unwrap_or_else(|(name, e)| panic!("{name}: {e}"));
+    let (matrix, failures) =
+        comparison_matrix(&specs, &BatchOptions::default(), &BatchControl::default());
+    if let Some((name, e)) = failures.first() {
+        eprintln!("{name}: {e}");
+        std::process::exit(1);
+    }
     let reports = matrix.reports();
 
     println!("{}", matrix.table());

@@ -66,7 +66,7 @@ fn fault_sweep_reuses_the_prefix_and_is_byte_identical_across_job_counts() {
         &BatchOptions::jobs(1),
         &serial_cache,
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     );
     let parallel_cache = ArtifactCache::new();
     let parallel = evaluate_many_controlled(
@@ -74,7 +74,7 @@ fn fault_sweep_reuses_the_prefix_and_is_byte_identical_across_job_counts() {
         &BatchOptions::jobs(8),
         &parallel_cache,
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     );
     assert_eq!(report_bytes(&serial), report_bytes(&parallel));
 
@@ -100,7 +100,7 @@ fn warm_cache_reproduces_cold_bytes() {
         &BatchOptions::jobs(1),
         &cache,
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     );
     let report_hits_before = stat(&cache, Stage::Report).hits;
     let warm = evaluate_many_controlled(
@@ -108,7 +108,7 @@ fn warm_cache_reproduces_cold_bytes() {
         &BatchOptions::jobs(1),
         &cache,
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     );
     assert_eq!(report_bytes(&cold), report_bytes(&warm));
     // The warm pass adopted at the Report tier — full evaluations served
@@ -127,7 +127,7 @@ fn bounded_cache_matches_unbounded_byte_for_byte() {
         &BatchOptions::jobs(1),
         &ArtifactCache::new(),
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     );
     let tiny = ArtifactCache::with_capacity(1);
     let bounded = evaluate_many_controlled(
@@ -135,7 +135,7 @@ fn bounded_cache_matches_unbounded_byte_for_byte() {
         &BatchOptions::jobs(1),
         &tiny,
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     );
     assert_eq!(report_bytes(&unbounded), report_bytes(&bounded));
     for t in tiny.tier_stats() {

@@ -53,14 +53,14 @@ fn job_count_does_not_change_reports() {
         &BatchOptions::jobs(1),
         &ArtifactCache::new(),
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     );
     let parallel = evaluate_many_controlled(
         &specs,
         &BatchOptions::jobs(8),
         &ArtifactCache::new(),
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     );
     assert_eq!(report_bytes(&serial), report_bytes(&parallel));
 }
@@ -73,14 +73,14 @@ fn repeated_parallel_runs_are_stable() {
         &BatchOptions::jobs(8),
         &ArtifactCache::new(),
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     ));
     let second = report_bytes(&evaluate_many_controlled(
         &specs,
         &BatchOptions::jobs(8),
         &ArtifactCache::new(),
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     ));
     assert_eq!(first, second);
 }
@@ -93,7 +93,7 @@ fn cached_generation_does_not_change_reports() {
         &BatchOptions::jobs(4),
         &ArtifactCache::new(),
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     );
     // `evaluate` runs one spec with no cache at all.
     let uncached: Vec<_> = specs.iter().map(evaluate).collect();
@@ -109,7 +109,7 @@ fn shared_topologies_generate_once() {
         &BatchOptions::jobs(8),
         &cache,
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     );
     assert!(results.iter().all(Result::is_ok));
     // 5 distinct topology sub-specs across 6 designs: jf-a and jf-b share.

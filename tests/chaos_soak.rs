@@ -66,7 +66,7 @@ fn seeded_cancellations_keep_spec_order_and_surviving_bytes_at_any_job_count() {
         &BatchOptions::jobs(1),
         &ArtifactCache::new(),
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     );
 
     for seed in [3, 17, 99] {
@@ -167,7 +167,7 @@ fn retry_recovers_injected_panics_byte_identically() {
         &BatchOptions::jobs(1),
         &ArtifactCache::new(),
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     );
     for jobs in [1, 8] {
         // One-shot panics on two specs: the first attempt dies, the retry
@@ -210,7 +210,7 @@ fn watchdog_frees_a_stalled_worker_and_retry_recovers() {
         &BatchOptions::jobs(1),
         &ArtifactCache::new(),
         None,
-        &BatchControl::from_globals(),
+        &BatchControl::default(),
     );
     // A one-shot 400ms stall against a 50ms stall threshold: the watchdog
     // cancels the stuck evaluation, and the retry runs it clean.
