@@ -991,6 +991,48 @@ mod tests {
         assert!(failed > 0, "the tight hall never ran out of tray space");
     }
 
+    /// The probe's tree from every slot of the halls tests, experiments
+    /// and the benchmark use, digested over each tree's back-pointer bytes
+    /// (its `Debug` text). Pinned so a rewrite of the search core keeps
+    /// every tie at equal distance broken the same way.
+    #[test]
+    fn tray_tree_back_pointers_are_pinned() {
+        let halls = [
+            HallSpec::default(),
+            HallSpec::small(),
+            HallSpec {
+                rows: 24,
+                slots_per_row: 30,
+                ..HallSpec::default()
+            },
+            tight_hall(),
+        ];
+        let digests: Vec<u64> = halls
+            .into_iter()
+            .map(|spec| {
+                let tray = TrayNetwork::build(&Hall::new(spec));
+                let mut text = String::new();
+                for slot in 0..tray.router.node_count() / 2 {
+                    let src = tray.drop_node(SlotId(slot)).unwrap();
+                    text.push_str(&format!(
+                        "{:?}\n",
+                        tray.router.shortest_path_tree(src, PROBE)
+                    ));
+                }
+                pd_topology::gen::cache_key(text.as_bytes())
+            })
+            .collect();
+        // The tight hall's trays still hold the probe: its trees are the
+        // default hall's.
+        let pinned = [
+            0x01d6_717e_3621_3af9,
+            0x2682_293f_0d62_8ac6,
+            0x6baa_e2ec_ca1e_c575,
+            0x01d6_717e_3621_3af9,
+        ];
+        assert_eq!(digests, pinned, "{digests:#x?}");
+    }
+
     #[test]
     fn tray_trees_match_a_search_per_cable_through_small_sites() {
         let net = folded_clos(&ClosParams {

@@ -286,6 +286,42 @@ mod tests {
         }
     }
 
+    /// A bundled k=8 fat-tree's task graph (its `Debug` text) and
+    /// schedule, digested over every task's start, finish and technician
+    /// and the pool's walking time, bit for bit.
+    #[test]
+    fn bundled_fat_tree_schedule_is_pinned() {
+        let net = fat_tree(8, Gbps::new(100.0)).unwrap();
+        let hall = Hall::new(HallSpec::default());
+        let placement = Placement::place(
+            &net,
+            &hall,
+            PlacementStrategy::BlockLocal,
+            &EquipmentProfile::default(),
+        )
+        .unwrap();
+        let trees = TrayTrees::new(&hall);
+        let plan = CablingPlan::build(&net, &hall, &placement, &CablingPolicy::default(), &trees);
+        let rep = BundlingReport::analyze(&plan, 4);
+        let dp = DeploymentPlan::from_cabling(&net, &placement, &plan, Some(&rep));
+        let sched = Schedule::run(&dp, &hall, &ScheduleParams::default());
+        let mut bytes = Vec::new();
+        for i in 0..dp.tasks.len() {
+            bytes.extend(sched.start[i].value().to_bits().to_le_bytes());
+            bytes.extend(sched.finish[i].value().to_bits().to_le_bytes());
+            bytes.extend((sched.tech_of[i] as u64).to_le_bytes());
+        }
+        bytes.extend(sched.walking.value().to_bits().to_le_bytes());
+        let digest = pd_topology::gen::cache_key(&bytes);
+        let tasks = pd_topology::gen::cache_key(format!("{:?}", dp.tasks).as_bytes());
+        assert_eq!(tasks, 0x2bc5_83dc_5dad_09a8, "{tasks:#x}");
+        assert_eq!(
+            (dp.tasks.len(), digest),
+            (426, 0x6a85_77fc_491a_5874),
+            "{digest:#x}"
+        );
+    }
+
     #[test]
     fn utilization_in_unit_range() {
         let (hall, dp) = setup();

@@ -434,6 +434,58 @@ mod tests {
         assert_eq!(changed, 0);
     }
 
+    /// Every link's `(id, a, b, via_ocs)`, in the network's link order, at
+    /// 256, 1024 and 4096 servers, sized as `pd_core::compare` sizes them,
+    /// and after a skewed reconfiguration.
+    #[test]
+    fn generated_links_are_pinned() {
+        let digest = |net: &Network| {
+            let mut bytes = Vec::new();
+            for l in net.links() {
+                for v in [u64::from(l.id.0), u64::from(l.a.0), u64::from(l.b.0)] {
+                    bytes.extend(v.to_le_bytes());
+                }
+                bytes.push(u8::from(l.via_ocs));
+            }
+            crate::gen::cache_key(&bytes)
+        };
+        let mut digests: Vec<u64> = [256usize, 1024, 4096]
+            .into_iter()
+            .map(|servers| {
+                let blocks = servers.div_ceil(64).max(2);
+                let f = direct_connect(&DirectConnectParams {
+                    blocks,
+                    tors_per_block: 4,
+                    mids_per_block: 4,
+                    uplinks_per_mid: (blocks - 1).div_ceil(4).max(4),
+                    servers_per_tor: 16,
+                    link_speed: Gbps::new(100.0),
+                })
+                .unwrap();
+                digest(&f.network)
+            })
+            .collect();
+        // A skewed reconfiguration removes links as well as adding them.
+        let mut f = direct_connect(&DirectConnectParams::default()).unwrap();
+        let mut demand = vec![vec![1.0; 8]; 8];
+        demand[0][1] = 50.0;
+        demand[1][0] = 50.0;
+        demand[2][5] = 9.0;
+        let changed = f.reconfigure(&demand).unwrap();
+        digests.push(digest(&f.network));
+        assert_eq!(changed, 72);
+        assert_eq!(
+            digests,
+            [
+                0xfb8a_2a9d_d600_449b,
+                0x9104_5232_df9d_5b8d,
+                0x2e3f_b2fd_ffa9_b7e1,
+                0x0bca_b975_e9d0_c427
+            ],
+            "{digests:#x?}"
+        );
+    }
+
     #[test]
     fn insufficient_uplinks_rejected() {
         let p = DirectConnectParams {

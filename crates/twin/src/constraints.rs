@@ -469,6 +469,55 @@ mod tests {
             .all(|x| x.severity == Severity::Warning));
     }
 
+    /// A 40 mm drop from rack top to tray: copper's bend radius cannot
+    /// make the turn into the tray, and block-local racks send every cable
+    /// of some switches through one segment. The exact messages and their
+    /// order are pinned.
+    #[test]
+    fn tray_spof_and_bend_radius_messages_are_pinned() {
+        let (net, hall, placement, plan) = build(HallSpec {
+            tray_height: pd_geometry::Meters::new(2.04),
+            ..HallSpec::default()
+        });
+        let v = check_design(&net, &hall, &placement, &plan);
+        let text: Vec<String> = v
+            .iter()
+            .filter(|x| matches!(x.code, ViolationCode::TraySpof | ViolationCode::BendRadius))
+            .map(|x| format!("{:?} {}", x.code, x.message))
+            .collect();
+        let bends = [
+            0, 1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 24, 25, 26, 27,
+        ];
+        let spofs = [
+            "sw6: all 2 network cables share tray segment(s) [200, 201]",
+            "sw7: all 2 network cables share tray segment(s) [201]",
+            "sw10: all 2 network cables share tray segment(s) [203, 204]",
+            "sw11: all 2 network cables share tray segment(s) [204]",
+            "sw12: all 4 network cables share tray segment(s) [207]",
+            "sw13: all 4 network cables share tray segment(s) [207]",
+            "sw14: all 2 network cables share tray segment(s) [206, 207]",
+            "sw15: all 2 network cables share tray segment(s) [207]",
+            "sw16: all 4 network cables share tray segment(s) [210]",
+            "sw17: all 4 network cables share tray segment(s) [210]",
+            "sw18: all 2 network cables share tray segment(s) [209, 210]",
+            "sw19: all 2 network cables share tray segment(s) [210]",
+        ];
+        let pinned: Vec<String> = bends
+            .iter()
+            .map(|i| {
+                format!(
+                    "BendRadius cable {i} (AEC, bend radius 45 mm) cannot make 2 bend(s) on its route"
+                )
+            })
+            .chain(
+                spofs
+                    .iter()
+                    .map(|s| format!("TraySpof {s} — one cut isolates it")),
+            )
+            .collect();
+        assert_eq!(text, pinned);
+    }
+
     #[test]
     fn violations_sorted_errors_first() {
         let spec = HallSpec {
