@@ -15,6 +15,7 @@
 
 use pd_core::batch::{BatchControl, BatchOptions};
 use pd_search::prelude::*;
+use std::collections::HashSet;
 
 /// Target sizes swept per family. The hall is the dense variant
 /// (8 × 14 slots), so the top size cannot be racked — deliberately: the
@@ -63,9 +64,36 @@ pub fn run_with(opts: &BatchOptions, control: &BatchControl) -> String {
     cfg.control = control.clone();
     let out_search = run_search(&cfg);
     let records = &out_search.records;
+    // An interrupted search (`--spec-timeout`, `--deadline`) leaves the
+    // points it did not finish without a record. An interruption says
+    // nothing about a design, so a family with an unfinished point gets
+    // neither a frontier nor an envelope row: its empty frontier or first
+    // break would be the run's, not the family's.
+    let recorded: HashSet<u64> = records.iter().map(|r| r.key).collect();
+    let unfinished: Vec<Point> = if out_search.interrupted {
+        cfg.strategy
+            .plan(&cfg.space)
+            .into_iter()
+            .filter(|p| !recorded.contains(&p.key(&cfg.space.trials)))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let cut = |family: &str| {
+        let n = unfinished
+            .iter()
+            .filter(|p| p.family.name() == family)
+            .count();
+        (n > 0).then(|| format!("interrupted: {n} point(s) unfinished"))
+    };
 
     let mut out = String::new();
     out.push_str("E20 — design-space search: Pareto frontiers and envelope map (§5.2, §5.4)\n");
+    let failures: Vec<(String, &str)> = unfinished
+        .iter()
+        .map(|p| (p.label(), "interrupted before it finished"))
+        .collect();
+    out.push_str(&super::partial_results(cfg.space.len(), &failures));
     out.push_str(&format!(
         "adaptive search over {} grid points ({} families × sizes {:?}, dense hall): \
          {} full evaluations, {} pruned by generation/placement proxies or budget\n\n",
@@ -81,12 +109,17 @@ pub fn run_with(opts: &BatchOptions, control: &BatchControl) -> String {
 
     let axes = default_axes();
     out.push_str("per-family Pareto frontier (cost/server ↓, fault retention ↑, TCO/server ↓, bisection ↑):\n");
-    for (family, front) in frontier_by_family(records, &axes) {
+    let fronts = frontier_by_family(records, &axes);
+    for (family, front) in &fronts {
+        if let Some(why) = cut(family) {
+            out.push_str(&format!("  {family:<14} — {why}\n"));
+            continue;
+        }
         if front.is_empty() {
             out.push_str(&format!("  {family:<14} — no feasible point in budget\n"));
             continue;
         }
-        for &i in &front {
+        for &i in front {
             let m = records[i]
                 .metrics
                 .as_ref()
@@ -102,8 +135,30 @@ pub fn run_with(opts: &BatchOptions, control: &BatchControl) -> String {
         }
     }
 
+    // Families with no record at all.
+    let unrecorded: Vec<&str> = cfg
+        .space
+        .families
+        .iter()
+        .map(|f| f.name())
+        .filter(|f| fronts.iter().all(|(family, _)| family != f))
+        .collect();
+    for family in &unrecorded {
+        if let Some(why) = cut(family) {
+            out.push_str(&format!("  {family:<14} — {why}\n"));
+        }
+    }
+
     out.push_str("\nfeasibility envelope along the size axis:\n");
-    out.push_str(&render_envelopes(&map_envelopes(records)));
+    let (whole, partial): (Vec<_>, Vec<_>) = map_envelopes(records)
+        .into_iter()
+        .partition(|e| cut(&e.family).is_none());
+    out.push_str(&render_envelopes(&whole));
+    for family in partial.iter().map(|e| e.family.as_str()).chain(unrecorded) {
+        if let Some(why) = cut(family) {
+            out.push_str(&format!("| {family} | — | — | {why} |\n"));
+        }
+    }
 
     out.push_str(
         "\npaper says: automation has a capability envelope, and designs should \

@@ -45,7 +45,6 @@ pub mod e19_faultdomains;
 pub mod e20_search;
 
 use pd_core::batch::BatchControl;
-use pd_core::pipeline::EvalError;
 
 /// One experiment: (name, description, runner). The runner takes the
 /// resilience control the CLI parsed; only E6, E19 and E20 read it.
@@ -200,7 +199,7 @@ pub fn run_all(jobs: usize, control: &BatchControl) -> Vec<(&'static str, String
 /// all evaluate (e.g. under `--spec-timeout`/`--deadline`): a count, one
 /// typed error line per failed design, in spec order, and a hint. Empty
 /// when nothing failed, so a complete run's output is unchanged.
-fn partial_results(total: usize, failures: &[(String, EvalError)]) -> String {
+fn partial_results(total: usize, failures: &[(String, impl std::fmt::Display)]) -> String {
     if failures.is_empty() {
         return String::new();
     }

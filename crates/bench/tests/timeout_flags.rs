@@ -1,6 +1,7 @@
 //! The resilience flags reach the experiments that run batches: under a
 //! per-design timeout too short for any design, E19 reports each design's
-//! typed error instead of panicking, and the run still exits 0.
+//! typed error instead of panicking, E20 reports the points its search did
+//! not finish, and the run still exits 0.
 
 use std::process::Command;
 
@@ -15,4 +16,41 @@ fn e19_under_a_spec_timeout_prints_partial_results_and_exits_zero() {
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
     assert!(stdout.contains("PARTIAL RESULTS"), "stdout: {stdout}");
     assert!(stdout.contains("timed out: stage"), "stdout: {stdout}");
+}
+
+/// E20's search is cut short by the same timeout: it says so, lists the
+/// points it did not finish, and gives no family an envelope break or an
+/// empty frontier that the interruption made.
+#[test]
+fn e20_under_a_spec_timeout_prints_partial_results_and_no_interrupted_breaks() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["e20", "--spec-timeout", "1ms"])
+        .output()
+        .expect("spawn experiments");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stdout.contains("PARTIAL RESULTS"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("interrupted before it finished"),
+        "stdout: {stdout}"
+    );
+    assert!(
+        !stdout.contains("timed out"),
+        "an interruption as a break: {stdout}"
+    );
+    for line in stdout.lines().filter(|l| l.contains("interrupted:")) {
+        assert!(
+            line.ends_with("unfinished") || line.ends_with("unfinished |"),
+            "{line}"
+        );
+    }
+    // Every family is still named, in the frontier and the envelope map.
+    for family in ["fat-tree", "slimfly", "direct-connect"] {
+        assert_eq!(
+            stdout.matches(&format!("| {family} |")).count(),
+            1,
+            "{stdout}"
+        );
+    }
 }

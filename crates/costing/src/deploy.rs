@@ -17,7 +17,6 @@ use pd_cabling::{BundlingReport, CablingPlan};
 use pd_geometry::Hours;
 use pd_physical::{Placement, SlotId};
 use pd_topology::{LinkId, Network};
-use std::collections::HashMap;
 
 /// Identifier of a task within a [`DeploymentPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -81,58 +80,69 @@ impl DeploymentPlan {
             id
         };
 
-        // 1. Rack installs.
-        let mut rack_task: HashMap<SlotId, TaskId> = HashMap::new();
+        // 1. Rack installs, by slot id.
+        let slots = placement
+            .racks
+            .iter()
+            .map(|r| r.slot)
+            .chain(plan.sites.iter().map(|s| s.slot))
+            .map(|slot| slot.0 + 1)
+            .max()
+            .unwrap_or(0);
+        let mut rack_task: Vec<Option<TaskId>> = vec![None; slots];
         for rack in &placement.racks {
             // Standing a rack up is always a two-person job (tip hazard).
             let t = push(WorkKind::InstallRack, rack.slot, Vec::new(), None, 2);
-            rack_task.insert(rack.slot, t);
+            rack_task[rack.slot.0] = Some(t);
         }
         // Indirection sites are racks too.
         for site in &plan.sites {
             let t = push(WorkKind::InstallRack, site.slot, Vec::new(), None, 2);
-            rack_task.insert(site.slot, t);
+            rack_task[site.slot.0] = Some(t);
         }
+        let rack_of = |slot: SlotId| rack_task.get(slot.0).copied().flatten();
 
-        // 2. Switch installs.
-        let mut switch_task: HashMap<pd_topology::SwitchId, TaskId> = HashMap::new();
+        // 2. Switch installs, by switch id.
+        let ids = net
+            .switches()
+            .map(|s| s.id.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut switch_task: Vec<Option<TaskId>> = vec![None; ids];
         for s in net.switches() {
             if let Some(slot) = placement.slot_of(s.id) {
-                let preds = rack_task.get(&slot).map(|&t| vec![t]).unwrap_or_default();
+                let preds = rack_of(slot).map(|t| vec![t]).unwrap_or_default();
                 // §3.2 safety: chassis switches (radix > 64 ⇒ 4 RU, ~45 kg)
                 // are a two-person lift.
                 let techs = if s.radix > 64 { 2 } else { 1 };
                 let t = push(WorkKind::InstallSwitch, slot, preds, None, techs);
-                switch_task.insert(s.id, t);
+                switch_task[s.id.0 as usize] = Some(t);
             }
         }
+        // The switch installs a run's cable waits for.
+        let ends = |run: &pd_cabling::CableRun| {
+            net.link(run.link).map_or([None, None], |l| {
+                [l.a, l.b].map(|end| switch_task.get(end.0 as usize).copied().flatten())
+            })
+        };
 
         // 3. Cables: bundles first (each member run covered once), then
-        // loose runs.
+        // loose runs. Each cable task is listed under every link it serves.
         let mut covered: Vec<bool> = vec![false; plan.runs.len()];
-        let mut cable_tasks_of_link: HashMap<LinkId, Vec<TaskId>> = HashMap::new();
+        let mut cable_tasks: Vec<(LinkId, TaskId)> = Vec::new();
         if let Some(rep) = bundling {
+            let mut links: Vec<LinkId> = Vec::new();
             for bundle in rep.manufacturable() {
                 let mut preds: Vec<TaskId> = Vec::new();
-                let mut links: Vec<LinkId> = Vec::new();
+                links.clear();
                 for &m in &bundle.members {
                     covered[m] = true;
                     let run = &plan.runs[m];
                     links.push(run.link);
-                    if let Some(l) = net.link(run.link) {
-                        for end in [l.a, l.b] {
-                            if let Some(&t) = switch_task.get(&end) {
-                                preds.push(t);
-                            }
-                        }
-                    }
+                    preds.extend(ends(run).into_iter().flatten());
                     // Site racks must exist before a mediated cable lands.
                     if run.via_site.is_some() {
-                        for slot in [run.from_slot, run.to_slot] {
-                            if let Some(&t) = rack_task.get(&slot) {
-                                preds.push(t);
-                            }
-                        }
+                        preds.extend([run.from_slot, run.to_slot].into_iter().filter_map(rack_of));
                     }
                 }
                 preds.sort();
@@ -149,28 +159,15 @@ impl DeploymentPlan {
                 );
                 links.sort();
                 links.dedup();
-                for l in links {
-                    cable_tasks_of_link.entry(l).or_default().push(t);
-                }
+                cable_tasks.extend(links.iter().map(|&l| (l, t)));
             }
         }
         for (i, run) in plan.runs.iter().enumerate() {
             if covered[i] {
                 continue;
             }
-            let mut preds: Vec<TaskId> = Vec::new();
-            if let Some(l) = net.link(run.link) {
-                for end in [l.a, l.b] {
-                    if let Some(&t) = switch_task.get(&end) {
-                        preds.push(t);
-                    }
-                }
-            }
-            for slot in [run.from_slot, run.to_slot] {
-                if let Some(&t) = rack_task.get(&slot) {
-                    preds.push(t);
-                }
-            }
+            let mut preds: Vec<TaskId> = ends(run).into_iter().flatten().collect();
+            preds.extend([run.from_slot, run.to_slot].into_iter().filter_map(rack_of));
             preds.sort();
             preds.dedup();
             let t = push(
@@ -182,20 +179,20 @@ impl DeploymentPlan {
                 Some(run.link),
                 1,
             );
-            cable_tasks_of_link.entry(run.link).or_default().push(t);
+            cable_tasks.push((run.link, t));
         }
 
-        // 4. Link tests.
-        for (link, cable_tasks) in {
-            let mut v: Vec<_> = cable_tasks_of_link.into_iter().collect();
-            v.sort_by_key(|(l, _)| *l);
-            v
-        } {
+        // 4. Link tests, in link order, each after its cable tasks in the
+        // order they were made.
+        cable_tasks.sort_by_key(|&(link, _)| link);
+        for group in cable_tasks.chunk_by(|a, b| a.0 == b.0) {
+            let link = group[0].0;
             let site = net
                 .link(link)
                 .and_then(|l| placement.slot_of(l.a))
                 .unwrap_or(SlotId(0));
-            push(WorkKind::TestLink, site, cable_tasks, Some(link), 1);
+            let preds = group.iter().map(|&(_, t)| t).collect();
+            push(WorkKind::TestLink, site, preds, Some(link), 1);
         }
 
         Self { tasks }

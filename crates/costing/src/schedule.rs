@@ -18,7 +18,6 @@ use crate::calib::LaborCalibration;
 use crate::deploy::DeploymentPlan;
 use pd_geometry::{Hours, Meters};
 use pd_physical::{Hall, SlotId};
-use std::collections::HashMap;
 
 /// Scheduler configuration.
 #[derive(Debug, Clone, PartialEq, Hash)]
@@ -65,12 +64,25 @@ impl Schedule {
         let n = plan.tasks.len();
         let calib = &params.calib;
 
-        // Ready times driven by precedence.
+        // Ready times driven by precedence. Each task's dependents, in task
+        // order, as one flat list: task `t`'s are
+        // `dependents[first[t]..first[t + 1]]`.
         let mut indegree: Vec<usize> = plan.tasks.iter().map(|t| t.preds.len()).collect();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut first = vec![0usize; n + 1];
         for t in &plan.tasks {
             for p in &t.preds {
-                dependents[p.0 as usize].push(t.id.0 as usize);
+                first[p.0 as usize + 1] += 1;
+            }
+        }
+        for i in 1..=n {
+            first[i] += first[i - 1];
+        }
+        let mut dependents = vec![0usize; first[n]];
+        let mut fill = first.clone();
+        for t in &plan.tasks {
+            for p in &t.preds {
+                dependents[fill[p.0 as usize]] = t.id.0 as usize;
+                fill[p.0 as usize] += 1;
             }
         }
 
@@ -86,8 +98,9 @@ impl Schedule {
         let mut busy: Vec<Hours> = vec![Hours::ZERO; params.technicians];
         let mut walking = Hours::ZERO;
 
-        // Slot exclusivity.
-        let mut slot_free: HashMap<SlotId, Hours> = HashMap::new();
+        // Slot exclusivity: when each slot is next free, by slot id.
+        let slots = plan.tasks.iter().map(|t| t.site.0 + 1).max().unwrap_or(0);
+        let mut slot_free: Vec<Hours> = vec![Hours::ZERO; slots];
 
         // Ready min-heap keyed by (ready_time, id).
         use std::collections::BinaryHeap;
@@ -104,14 +117,14 @@ impl Schedule {
                 Some(self.cmp(o))
             }
         }
-        let mut heap = BinaryHeap::new();
-        for (i, t) in plan.tasks.iter().enumerate() {
-            if t.preds.is_empty() {
-                heap.push(Ready(Hours::ZERO, i));
-            }
-            let _ = t;
-        }
+        let mut heap: BinaryHeap<Ready> = (0..n)
+            .filter(|&i| plan.tasks[i].preds.is_empty())
+            .map(|i| Ready(Hours::ZERO, i))
+            .collect();
 
+        // Each technician's (arrival at the site, walk, index), refilled
+        // per task.
+        let mut arrivals: Vec<(Hours, Hours, usize)> = Vec::with_capacity(params.technicians);
         let mut scheduled = 0usize;
         while let Some(Ready(rt, i)) = heap.pop() {
             let task = &plan.tasks[i];
@@ -119,38 +132,36 @@ impl Schedule {
             // the site earliest (§3.2: heavy lifts are multi-person jobs;
             // a crew larger than the pool clamps to the pool).
             let crew = task.techs_required.clamp(1, params.technicians);
-            let mut arrivals: Vec<(Hours, Hours, usize)> = (0..params.technicians)
-                .map(|k| {
-                    let dist = hall
-                        .slot_distance(tech_loc[k], task.site)
-                        .unwrap_or(Meters::ZERO);
-                    let walk = calib.walk_time(dist);
-                    (tech_free[k] + walk, walk, k)
-                })
-                .collect();
+            arrivals.clear();
+            arrivals.extend((0..params.technicians).map(|k| {
+                let dist = hall
+                    .slot_distance(tech_loc[k], task.site)
+                    .unwrap_or(Meters::ZERO);
+                let walk = calib.walk_time(dist);
+                (tech_free[k] + walk, walk, k)
+            }));
             arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
             let chosen = &arrivals[..crew];
             let assembled = chosen
                 .iter()
                 .map(|(a, _, _)| *a)
                 .fold(Hours::ZERO, Hours::max);
-            let s = assembled
-                .max(rt)
-                .max(slot_free.get(&task.site).copied().unwrap_or(Hours::ZERO));
-            let f = s + task.kind.duration(calib);
+            let s = assembled.max(rt).max(slot_free[task.site.0]);
+            let duration = task.kind.duration(calib);
+            let f = s + duration;
             start[i] = s;
             finish[i] = f;
             tech_of[i] = chosen[0].2;
             for &(_, walk, k) in chosen {
                 tech_free[k] = f;
                 tech_loc[k] = task.site;
-                busy[k] += task.kind.duration(calib);
+                busy[k] += duration;
                 walking += walk;
             }
-            slot_free.insert(task.site, f);
+            slot_free[task.site.0] = f;
             scheduled += 1;
 
-            for &d in &dependents[i] {
+            for &d in &dependents[first[i]..first[i + 1]] {
                 indegree[d] -= 1;
                 ready_time[d] = ready_time[d].max(f);
                 if indegree[d] == 0 {

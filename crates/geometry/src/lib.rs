@@ -29,7 +29,7 @@ pub mod route;
 pub mod units;
 
 pub use point::{Point2, Point3};
-pub use polyline::Polyline;
+pub use polyline::{bend_violations, Polyline};
 pub use route::{
     CapacityRouter, EdgeId as RouteEdgeId, NodeId as RouteNodeId, RouteError, ShortestPathTree,
 };

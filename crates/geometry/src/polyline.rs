@@ -83,60 +83,92 @@ impl Polyline {
     /// Extracts every bend (direction change above `min_angle_rad`) along the
     /// polyline. Collinear interior vertices produce no bend.
     pub fn bends(&self, min_angle_rad: f64) -> Vec<Bend> {
-        let mut out = Vec::new();
-        for i in 1..self.vertices.len().saturating_sub(1) {
-            let a = self.vertices[i - 1];
-            let b = self.vertices[i];
-            let c = self.vertices[i + 1];
-            let u = b.delta(a);
-            let v = c.delta(b);
-            let nu = (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]).sqrt();
-            let nv = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
-            if nu == 0.0 || nv == 0.0 {
-                continue; // degenerate duplicate vertex: no defined direction
-            }
-            let dot = (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]) / (nu * nv);
-            let angle = dot.clamp(-1.0, 1.0).acos();
-            if angle > min_angle_rad {
-                out.push(Bend {
-                    vertex: i,
-                    angle_rad: angle,
-                    clearance: Meters::new(nu.min(nv)),
-                });
-            }
-        }
-        out
+        bends(self.vertices.iter().copied(), min_angle_rad).collect()
     }
 
-    /// Checks every bend against a cable's minimum bend radius.
-    ///
-    /// The feasibility model: turning through angle `θ` with bend radius `r`
-    /// consumes `r · tan(θ/2)` of straight run-in on each side of the vertex
-    /// (the tangent-length of the inscribed arc), so each adjacent segment
-    /// must be at least that long. A full reversal (θ = π) is never feasible
-    /// for a rigid-radius cable and is always reported.
+    /// Checks every bend against a cable's minimum bend radius: the
+    /// [`bend_violations`] of the vertices.
     pub fn check_bend_radius(&self, min_radius: Millimeters) -> Vec<BendViolation> {
-        let r = min_radius.to_meters();
-        self.bends(1e-6)
-            .into_iter()
-            .filter_map(|bend| {
-                let half = bend.angle_rad / 2.0;
-                // tan(π/2) → ∞ for a full reversal; treat anything near a
-                // reversal as requiring infinite clearance.
-                let required = if bend.angle_rad > std::f64::consts::PI - 1e-9 {
-                    Meters::new(f64::INFINITY)
-                } else {
-                    Meters::new(r.value() * half.tan())
-                };
-                (bend.clearance < required).then_some(BendViolation { bend, required })
-            })
-            .collect()
+        bend_violations(self.vertices.iter().copied(), min_radius).collect()
     }
 
     /// A straight two-point polyline.
     pub fn straight(a: Point3, b: Point3) -> Self {
         Self::new(vec![a, b])
     }
+}
+
+/// The bends along a vertex sequence, as [`Polyline::bends`] finds them,
+/// one corner at a time. A run of corners mostly repeats a few turn
+/// angles, so the angle of the last two distinct cosines is remembered
+/// rather than recomputed.
+fn bends(
+    vertices: impl IntoIterator<Item = Point3>,
+    min_angle_rad: f64,
+) -> impl Iterator<Item = Bend> {
+    let (mut a, mut b): (Option<Point3>, Option<Point3>) = (None, None);
+    // (cosine bits, angle), most recent first.
+    let mut seen = [(u64::MAX, 0.0); 2];
+    vertices.into_iter().enumerate().filter_map(move |(i, c)| {
+        let corner = a.zip(b);
+        (a, b) = (b, Some(c));
+        let (a, b) = corner?;
+        let u = b.delta(a);
+        let v = c.delta(b);
+        let nu = (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]).sqrt();
+        let nv = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
+        if nu == 0.0 || nv == 0.0 {
+            return None; // degenerate duplicate vertex: no defined direction
+        }
+        let cos = ((u[0] * v[0] + u[1] * v[1] + u[2] * v[2]) / (nu * nv)).clamp(-1.0, 1.0);
+        let angle = match seen.iter().find(|(bits, _)| *bits == cos.to_bits()) {
+            Some(&(_, angle)) => angle,
+            None => {
+                let angle = cos.acos();
+                seen = [(cos.to_bits(), angle), seen[0]];
+                angle
+            }
+        };
+        (angle > min_angle_rad).then(|| Bend {
+            vertex: i - 1,
+            angle_rad: angle,
+            clearance: Meters::new(nu.min(nv)),
+        })
+    })
+}
+
+/// Every bend along a vertex sequence that a cable of minimum bend radius
+/// `min_radius` cannot make: the one bend-radius verdict, which
+/// [`Polyline::check_bend_radius`] and the digital twin's walk along a
+/// cable's tray route both use.
+///
+/// The feasibility model: turning through angle `θ` with bend radius `r`
+/// consumes `r · tan(θ/2)` of straight run-in on each side of the vertex
+/// (the tangent-length of the inscribed arc), so each adjacent segment
+/// must be at least that long. A full reversal (θ = π) is never feasible
+/// for a rigid-radius cable and is always reported. The tangent of the
+/// last turn angle is remembered, as [`Polyline::bends`] remembers angles.
+pub fn bend_violations(
+    vertices: impl IntoIterator<Item = Point3>,
+    min_radius: Millimeters,
+) -> impl Iterator<Item = BendViolation> {
+    let r = min_radius.to_meters();
+    // (angle bits, required clearance) of the last bend.
+    let mut last = (u64::MAX, Meters::ZERO);
+    bends(vertices, 1e-6).filter_map(move |bend| {
+        // tan(π/2) → ∞ for a full reversal; treat anything near a
+        // reversal as requiring infinite clearance.
+        let required = if bend.angle_rad > std::f64::consts::PI - 1e-9 {
+            Meters::new(f64::INFINITY)
+        } else if last.0 == bend.angle_rad.to_bits() {
+            last.1
+        } else {
+            let required = Meters::new(r.value() * (bend.angle_rad / 2.0).tan());
+            last = (bend.angle_rad.to_bits(), required);
+            required
+        };
+        (bend.clearance < required).then_some(BendViolation { bend, required })
+    })
 }
 
 #[cfg(test)]

@@ -7,15 +7,28 @@
 //! shortest path whose every segment still has room for the cable's
 //! cross-section.
 //!
-//! The router is a plain binary-heap Dijkstra with per-edge residual
-//! capacity over its own adjacency list: the tray graph is small (hundreds
-//! of nodes), mutation of residual capacity is the common operation, and a
-//! self-contained adjacency list keeps the commit/rollback semantics
-//! obvious. One search core serves both [`CapacityRouter::route`], which
-//! stops at its destination, and [`CapacityRouter::shortest_path_tree`],
-//! which settles every node. Degree-1 nodes (a tray's rack drops) are
-//! relaxed but never queued: their only neighbour is the node being
-//! settled, so their distance is already final.
+//! The router is a Dijkstra with per-edge residual capacity over its own
+//! adjacency list: the tray graph is small (hundreds of nodes), mutation of
+//! residual capacity is the common operation, and a self-contained
+//! adjacency list keeps the commit/rollback semantics obvious. One search
+//! core serves both [`CapacityRouter::route`], which stops at its
+//! destination, and [`CapacityRouter::shortest_path_tree`], which settles
+//! every node. Degree-1 nodes (a tray's rack drops) are relaxed but never
+//! queued: their only neighbour is the node being settled, so their
+//! distance is already final.
+//!
+//! The search queues nodes in one FIFO per distinct edge length, not in a
+//! heap. A tray ladder has three lengths (drop, slot pitch, row pitch).
+//! Nodes settle in nondecreasing distance, so each FIFO receives its
+//! entries in nondecreasing distance too, and the smallest queued distance
+//! is at the head of one FIFO. All nodes at that distance are taken from
+//! the heads at once and settled in node-id order, which is the (distance,
+//! node id) order a heap keyed on both would pop them in. A zero-length
+//! edge reaches a node at the distance being settled; it joins that batch
+//! in id order. Each node records, as it is improved, the position of the
+//! improving edge in its own adjacency list, so a tree needs no lookup
+//! afterwards. The buffers live in a per-thread scratch and are reused
+//! search after search.
 //!
 //! A path can be reused instead of searched again. Suppose `route` returned
 //! path `P` for a demand, and since then the set of edges that fit the
@@ -32,7 +45,7 @@
 
 use crate::point::Point3;
 use crate::units::{Meters, SquareMillimeters};
-use std::collections::BinaryHeap;
+use std::cell::RefCell;
 
 /// Identifier of a node (tray junction or drop point) in a [`CapacityRouter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -80,8 +93,22 @@ struct Edge {
     a: NodeId,
     b: NodeId,
     length: Meters,
+    /// Index of `length` in `CapacityRouter::lengths`: the FIFO the search
+    /// queues this edge's far node in.
+    class: u32,
     capacity: SquareMillimeters,
     used: SquareMillimeters,
+}
+
+/// One entry of a node's adjacency list.
+#[derive(Debug, Clone, Copy)]
+struct Arc {
+    /// The neighbour.
+    to: u32,
+    /// The edge to it.
+    edge: u32,
+    /// The position of this edge in the neighbour's adjacency list.
+    back: u32,
 }
 
 impl Edge {
@@ -106,8 +133,10 @@ pub struct RoutedPath {
 #[derive(Debug, Clone, Default)]
 pub struct CapacityRouter {
     positions: Vec<Point3>,
-    adjacency: Vec<Vec<(NodeId, EdgeId)>>,
+    adjacency: Vec<Vec<Arc>>,
     edges: Vec<Edge>,
+    /// The distinct edge lengths, in order of first use.
+    lengths: Vec<f64>,
 }
 
 impl CapacityRouter {
@@ -138,15 +167,36 @@ impl CapacityRouter {
     ) -> EdgeId {
         assert!(a.0 < self.positions.len() && b.0 < self.positions.len());
         let id = EdgeId(self.edges.len());
+        let bits = length.value().to_bits();
+        let class = match self.lengths.iter().position(|l| l.to_bits() == bits) {
+            Some(class) => class,
+            None => {
+                self.lengths.push(length.value());
+                self.lengths.len() - 1
+            }
+        };
         self.edges.push(Edge {
             a,
             b,
             length,
+            class: class as u32,
             capacity,
             used: SquareMillimeters::ZERO,
         });
-        self.adjacency[a.0].push((b, id));
-        self.adjacency[b.0].push((a, id));
+        let (at_a, at_b) = (self.adjacency[a.0].len(), self.adjacency[b.0].len());
+        // A self-loop lands twice in one list; its entries point at each
+        // other.
+        let at_b = if a == b { at_b + 1 } else { at_b };
+        self.adjacency[a.0].push(Arc {
+            to: b.0 as u32,
+            edge: id.0 as u32,
+            back: at_b as u32,
+        });
+        self.adjacency[b.0].push(Arc {
+            to: a.0 as u32,
+            edge: id.0 as u32,
+            back: at_a as u32,
+        });
         id
     }
 
@@ -222,28 +272,19 @@ impl CapacityRouter {
         if dst.0 >= self.positions.len() {
             return Err(RouteError::UnknownNode(dst));
         }
-        let reached = self.dijkstra(src, Some(dst), |edge| edge.lacks_room(demand));
-        if !reached.dist[dst.0].is_finite() {
-            let connected = self.dijkstra(src, Some(dst), |_| false).dist[dst.0].is_finite();
-            return Err(RouteError::NoFeasiblePath {
-                connected_ignoring_capacity: connected,
-            });
-        }
-        let mut nodes = vec![dst];
-        let mut edges = Vec::new();
-        let mut cur = dst;
-        while let Some(&e) = reached.via.get(cur.0).filter(|&&e| e != UNREACHED) {
-            let edge = &self.edges[e];
-            cur = if edge.b == cur { edge.a } else { edge.b };
-            nodes.push(cur);
-            edges.push(EdgeId(e));
-        }
-        nodes.reverse();
-        edges.reverse();
-        Ok(RoutedPath {
-            nodes,
-            edges,
-            length: Meters::new(reached.dist[dst.0]),
+        let path = self.search(
+            src,
+            Some(dst),
+            |edge| edge.lacks_room(demand),
+            |search| search.path(self, dst),
+        );
+        path.ok_or_else(|| RouteError::NoFeasiblePath {
+            connected_ignoring_capacity: self.search(
+                src,
+                Some(dst),
+                |_| false,
+                |search| search.dist[dst.0].is_finite(),
+            ),
         })
     }
 
@@ -258,20 +299,23 @@ impl CapacityRouter {
     /// Panics if `src` is not a node of this graph.
     pub fn shortest_path_tree(&self, src: NodeId, demand: SquareMillimeters) -> ShortestPathTree {
         // `lacks_room` with nothing used.
-        let reached = self.dijkstra(src, None, |edge| edge.capacity < demand);
-        let via = reached
-            .via
-            .iter()
-            .zip(&self.adjacency)
-            .map(|(&e, adjacent)| {
-                adjacent
+        let via = self.search(
+            src,
+            None,
+            |edge| edge.capacity < demand,
+            |search| {
+                search
+                    .back
                     .iter()
-                    .position(|&(_, id)| id.0 == e)
-                    .and_then(|at| u8::try_from(at).ok())
-                    .filter(|&at| at != NOT_IN_TREE)
-                    .unwrap_or(NOT_IN_TREE)
-            })
-            .collect();
+                    .map(|&at| {
+                        u8::try_from(at)
+                            .ok()
+                            .filter(|&at| at != NOT_IN_TREE)
+                            .unwrap_or(NOT_IN_TREE)
+                    })
+                    .collect()
+            },
+        );
         ShortestPathTree { source: src, via }
     }
 
@@ -283,7 +327,8 @@ impl CapacityRouter {
     pub fn tree_path(&self, tree: &ShortestPathTree, dst: NodeId) -> Option<RoutedPath> {
         let back = |node: NodeId| {
             let at = tree.via.get(node.0).filter(|&&at| at != NOT_IN_TREE)?;
-            self.adjacency.get(node.0)?.get(usize::from(*at)).copied()
+            let arc = self.adjacency.get(node.0)?.get(usize::from(*at))?;
+            Some((NodeId(arc.to as usize), EdgeId(arc.edge as usize)))
         };
         // Count the hops first, so the path's vectors are allocated once at
         // their exact size: plans keep a path's edges for every cable.
@@ -356,79 +401,163 @@ impl CapacityRouter {
     }
 
     /// The search core: Dijkstra from `src` over the edges `skip` is false
-    /// for, stopping once `dst`'s distance is final if a `dst` is given.
-    fn dijkstra(&self, src: NodeId, dst: Option<NodeId>, skip: impl Fn(&Edge) -> bool) -> Reached {
-        #[derive(PartialEq)]
-        struct State {
-            dist: f64,
-            node: NodeId,
+    /// for, stopping once `dst`'s distance is final if a `dst` is given;
+    /// `read` takes what it needs from the finished search.
+    fn search<R>(
+        &self,
+        src: NodeId,
+        dst: Option<NodeId>,
+        skip: impl Fn(&Edge) -> bool,
+        read: impl FnOnce(&Search) -> R,
+    ) -> R {
+        thread_local! {
+            static SEARCH: RefCell<Search> = RefCell::default();
         }
-        impl Eq for State {}
-        impl Ord for State {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                // Min-heap on distance; tie-break on node id for determinism.
-                other
-                    .dist
-                    .total_cmp(&self.dist)
-                    .then_with(|| other.node.cmp(&self.node))
-            }
-        }
-        impl PartialOrd for State {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        let n = self.positions.len();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut via = vec![UNREACHED; n];
-        let mut heap = BinaryHeap::new();
-        dist[src.0] = 0.0;
-        heap.push(State {
-            dist: 0.0,
-            node: src,
-        });
-
-        'search: while let Some(State { dist: d, node }) = heap.pop() {
-            if d > dist[node.0] {
-                continue;
-            }
-            if Some(node) == dst {
-                break;
-            }
-            for &(next, eid) in &self.adjacency[node.0] {
-                let edge = &self.edges[eid.0];
-                if skip(edge) {
-                    continue;
-                }
-                let nd = d + edge.length.value();
-                if nd < dist[next.0] {
-                    dist[next.0] = nd;
-                    via[next.0] = eid.0;
-                    if self.adjacency[next.0].len() > 1 {
-                        heap.push(State {
-                            dist: nd,
-                            node: next,
-                        });
-                    } else if Some(next) == dst {
-                        // A leaf's only neighbour is `node`: settled.
-                        break 'search;
-                    }
-                }
-            }
-        }
-        Reached { dist, via }
+        SEARCH.with(|cell| {
+            let search = &mut *cell.borrow_mut();
+            search.run(self, src, dst, skip);
+            read(search)
+        })
     }
 }
 
-/// `Reached::via` of a node no edge has reached yet (and of the source).
-const UNREACHED: usize = usize::MAX;
+/// `Search::back` of a node no edge has reached yet (and of the source).
+const UNREACHED: u32 = u32::MAX;
 
-/// What one search leaves: each node's distance from the source and the
-/// edge it was last improved over.
-struct Reached {
+/// One search's buffers, reused by every search on a thread.
+#[derive(Default)]
+struct Search {
+    /// Each node's distance from the source.
     dist: Vec<f64>,
-    via: Vec<usize>,
+    /// Each node's position, in its own adjacency list, of the edge it was
+    /// last improved over.
+    back: Vec<u32>,
+    /// Per edge-length class, the `(distance, node)` entries queued over an
+    /// edge of that length, in push order; `heads[k]` of them are taken.
+    queues: Vec<Vec<(f64, u32)>>,
+    heads: Vec<usize>,
+    /// The nodes at the distance being settled, highest id first.
+    batch: Vec<u32>,
+}
+
+impl Search {
+    fn run(
+        &mut self,
+        g: &CapacityRouter,
+        src: NodeId,
+        dst: Option<NodeId>,
+        skip: impl Fn(&Edge) -> bool,
+    ) {
+        let n = g.positions.len();
+        let dst = dst.map_or(u32::MAX, |d| d.0 as u32);
+        self.dist.clear();
+        self.dist.resize(n, f64::INFINITY);
+        self.back.clear();
+        self.back.resize(n, UNREACHED);
+        let classes = g.lengths.len();
+        if self.queues.len() < classes {
+            self.queues.resize_with(classes, Vec::new);
+        }
+        self.queues.iter_mut().for_each(Vec::clear);
+        self.heads.clear();
+        self.heads.resize(classes, 0);
+        self.batch.clear();
+
+        let Search {
+            dist,
+            back,
+            queues,
+            heads,
+            batch,
+        } = self;
+        dist[src.0] = 0.0;
+        batch.push(src.0 as u32);
+        let mut d = 0.0;
+        'search: loop {
+            while let Some(node) = batch.pop() {
+                if dist[node as usize] < d {
+                    continue; // improved since it was queued
+                }
+                if node == dst {
+                    break 'search;
+                }
+                for arc in &g.adjacency[node as usize] {
+                    let edge = &g.edges[arc.edge as usize];
+                    if skip(edge) {
+                        continue;
+                    }
+                    let nd = d + edge.length.value();
+                    let next = arc.to as usize;
+                    if nd < dist[next] {
+                        dist[next] = nd;
+                        back[next] = arc.back;
+                        if g.adjacency[next].len() > 1 {
+                            if nd == d {
+                                // A zero-length edge: `next` settles in
+                                // this batch, in id order.
+                                let at = batch.partition_point(|&b| b > arc.to);
+                                batch.insert(at, arc.to);
+                            } else {
+                                queues[edge.class as usize].push((nd, arc.to));
+                            }
+                        } else if arc.to == dst {
+                            // A leaf's only neighbour is `node`: settled.
+                            break 'search;
+                        }
+                    }
+                }
+            }
+            // The next distance is the smallest live head.
+            d = f64::INFINITY;
+            for (queue, head) in queues.iter().zip(heads.iter_mut()) {
+                while let Some(&(qd, node)) = queue.get(*head) {
+                    if qd > dist[node as usize] {
+                        *head += 1; // stale
+                    } else {
+                        d = d.min(qd);
+                        break;
+                    }
+                }
+            }
+            if d == f64::INFINITY {
+                break;
+            }
+            for (queue, head) in queues.iter().zip(heads.iter_mut()) {
+                while let Some(&(qd, node)) = queue.get(*head) {
+                    if qd != d {
+                        break;
+                    }
+                    batch.push(node);
+                    *head += 1;
+                }
+            }
+            batch.sort_unstable_by(|a, b| b.cmp(a));
+        }
+    }
+
+    /// The path the finished search found to `dst`, if it reached it.
+    fn path(&self, g: &CapacityRouter, dst: NodeId) -> Option<RoutedPath> {
+        let length = self.dist[dst.0];
+        if !length.is_finite() {
+            return None;
+        }
+        let mut nodes = vec![dst];
+        let mut edges = Vec::new();
+        let mut cur = dst.0;
+        while self.back[cur] != UNREACHED {
+            let arc = g.adjacency[cur][self.back[cur] as usize];
+            cur = arc.to as usize;
+            nodes.push(NodeId(cur));
+            edges.push(EdgeId(arc.edge as usize));
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some(RoutedPath {
+            nodes,
+            edges,
+            length: Meters::new(length),
+        })
+    }
 }
 
 /// [`ShortestPathTree`] entry of the source and of every node the tree

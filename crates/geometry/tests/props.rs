@@ -428,3 +428,50 @@ fn tree_paths_that_fit_are_the_routes_of_a_fresh_search() {
         "{from_tree} tree paths, {searched} searches"
     );
 }
+
+/// On sparse random graphs whose edges take a few lengths, zero among
+/// them, with parallel edges, self-loops and capacities some demands do
+/// not fit: `route` is the reference heap search, to the bit, and with
+/// nothing committed so are the paths of a shortest-path tree. Zero-length
+/// edges reach nodes at the distance being settled, and many nodes tie.
+#[test]
+fn route_matches_a_heap_search_with_few_and_zero_lengths() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let lengths = [0.0, 0.5, 1.0, 1.5, uniform(&mut rng, 0.1, 2.0)];
+        let classes = 1 + rng.below(lengths.len());
+        let mut g = CapacityRouter::new();
+        let nodes = 2 + rng.below(40);
+        for _ in 0..nodes {
+            g.add_node(Point3::ORIGIN);
+        }
+        for _ in 0..nodes + rng.below(3 * nodes) {
+            let (a, b) = (RouteNodeId(rng.below(nodes)), RouteNodeId(rng.below(nodes)));
+            let length = Meters::new(lengths[rng.below(classes)]);
+            g.add_edge(
+                a,
+                b,
+                length,
+                SquareMillimeters::new(uniform(&mut rng, 1.0, 10.0)),
+            );
+        }
+        let demand = SquareMillimeters::new(uniform(&mut rng, 0.0, 5.0));
+        for _ in 0..8 {
+            let src = RouteNodeId(rng.below(nodes));
+            let tree = g.shortest_path_tree(src, demand);
+            for dst in (0..nodes).map(RouteNodeId) {
+                let routed = g.route(src, dst, demand);
+                let reference = reference_route(&g, src, dst, demand);
+                assert_eq!(routed, reference, "case seed {case}");
+                if let Ok(path) = &routed {
+                    assert_eq!(
+                        path.length.value().to_bits(),
+                        reference.as_ref().unwrap().length.value().to_bits(),
+                        "case seed {case}"
+                    );
+                }
+                assert_eq!(g.tree_path(&tree, dst), routed.ok(), "case seed {case}");
+            }
+        }
+    }
+}

@@ -16,7 +16,7 @@
 //! engineering.
 
 use super::{finish, invalid, GenError};
-use crate::network::{BlockId, Network, SwitchId, SwitchRole};
+use crate::network::{BlockId, Link, Network, SwitchId, SwitchRole};
 use pd_geometry::Gbps;
 
 /// Parameters for a direct-connect (spineless) fabric.
@@ -146,21 +146,24 @@ pub fn direct_connect(p: &DirectConnectParams) -> Result<DirectConnectFabric, Ge
 }
 
 impl DirectConnectFabric {
+    /// Each switch's block index (into `block_ids`), by switch id.
+    fn block_index(&self) -> Vec<Option<usize>> {
+        let ids = self.network.switches().map(|s| s.id.0 as usize + 1).max();
+        let mut index = vec![None; ids.unwrap_or(0)];
+        for s in self.network.switches() {
+            index[s.id.0 as usize] = s
+                .block
+                .and_then(|blk| self.block_ids.iter().position(|&x| x == blk));
+        }
+        index
+    }
+
     /// Current inter-block link counts.
     pub fn interblock_matrix(&self) -> Vec<Vec<usize>> {
         let b = self.block_ids.len();
         let mut m = vec![vec![0usize; b]; b];
-        let block_of = |s: SwitchId| {
-            let blk = self
-                .network
-                .switch(s)
-                .and_then(|s| s.block)
-                .expect("has block");
-            self.block_ids
-                .iter()
-                .position(|&x| x == blk)
-                .expect("known block")
-        };
+        let index = self.block_index();
+        let block_of = |s: SwitchId| index[s.0 as usize].expect("has a known block");
         for l in self.network.links().filter(|l| l.via_ocs) {
             let (i, j) = (block_of(l.a), block_of(l.b));
             m[i][j] += 1;
@@ -257,71 +260,48 @@ impl DirectConnectFabric {
         // additions only have free ports once the removals release them
         // (exactly how a real OCS reconfiguration sequences drains).
         let current = self.interblock_matrix();
+        let mut tally = Tally::new(self);
         let mut changed = 0usize;
         for (idx, &(i, j, _)) in pairs.iter().enumerate() {
             let (want, have) = (target[idx], current[i][j]);
             if have > want {
-                changed += self.remove_pair_links(i, j, have - want);
+                changed += self.remove_pair_links(&mut tally, i, j, have - want);
             }
         }
         for (idx, &(i, j, _)) in pairs.iter().enumerate() {
             let (want, have) = (target[idx], current[i][j]);
             if want > have {
-                changed += self.add_pair_links(i, j, want - have);
+                changed += self.add_pair_links(&mut tally, i, j, want - have);
             }
         }
         Ok(changed)
     }
 
-    /// Links from middle switch `m` to block index `j` (pair-local count;
-    /// the balance ECMP needs — see [`Self::add_pair_links`]).
-    fn mid_links_to_block(&self, m: SwitchId, j: usize) -> usize {
-        let bj = self.block_ids[j];
-        self.network
-            .incident_links(m)
-            .iter()
-            .filter_map(|&l| self.network.link(l))
-            .filter(|l| {
-                l.via_ocs && self.network.switch(l.other(m)).and_then(|s| s.block) == Some(bj)
-            })
-            .count()
-    }
-
     /// Removes up to `count` OCS links between block indices `i` and `j`,
     /// always taking from the middle switch currently holding the *most*
     /// links to the pair — keeping the survivors spread across mids.
-    fn remove_pair_links(&mut self, i: usize, j: usize, count: usize) -> usize {
+    fn remove_pair_links(&mut self, tally: &mut Tally, i: usize, j: usize, count: usize) -> usize {
         let mut removed = 0;
         for _ in 0..count {
             let victim = self.mids[i]
                 .iter()
                 .copied()
-                .filter(|&m| self.mid_links_to_block(m, j) > 0)
+                .filter(|&m| tally.links_to(m, j) > 0)
                 // Most links to this pair, then most total uplinks in use
                 // (fewest free ports) — so survivors stay spread across
                 // mids both per-pair and overall.
-                .max_by_key(|&m| {
-                    (
-                        self.mid_links_to_block(m, j),
-                        u32::MAX - self.network.ports_free(m),
-                    )
-                })
+                .max_by_key(|&m| (tally.links_to(m, j), u32::MAX - tally.ports_free(m)))
                 .and_then(|m| {
-                    let bj = self.block_ids[j];
                     self.network.incident_links(m).iter().copied().find(|&l| {
-                        self.network
-                            .link(l)
-                            .map(|l| {
-                                l.via_ocs
-                                    && self.network.switch(l.other(m)).and_then(|s| s.block)
-                                        == Some(bj)
-                            })
-                            .unwrap_or(false)
+                        self.network.link(l).is_some_and(|l| {
+                            l.via_ocs && tally.block[l.other(m).0 as usize] == Some(j)
+                        })
                     })
                 });
             match victim {
                 Some(l) => {
-                    self.network.remove_link(l).expect("found above");
+                    let link = self.network.remove_link(l).expect("found above");
+                    tally.count(&link, -1);
                     removed += 1;
                 }
                 None => break,
@@ -337,30 +317,99 @@ impl DirectConnectFabric {
     /// for ECMP: if one mid hoarded a pair's links, it would be the only
     /// shortest-path next hop and its ToR uplinks would bottleneck — a
     /// physical-placement artifact throttling an abstractly-fine topology.
-    fn add_pair_links(&mut self, i: usize, j: usize, count: usize) -> usize {
+    fn add_pair_links(&mut self, tally: &mut Tally, i: usize, j: usize, count: usize) -> usize {
         let mut added = 0;
         for _ in 0..count {
-            let pick = |f: &Self, block: usize, other: usize| -> Option<SwitchId> {
-                f.mids[block]
+            let pick = |block: usize, other: usize| -> Option<SwitchId> {
+                self.mids[block]
                     .iter()
                     .copied()
-                    .filter(|&m| f.network.ports_free(m) > 0)
+                    .filter(|&m| tally.ports_free(m) > 0)
                     .min_by_key(|&m| {
                         (
-                            f.mid_links_to_block(m, other),
-                            usize::MAX - f.network.ports_free(m) as usize,
+                            tally.links_to(m, other),
+                            usize::MAX - tally.ports_free(m) as usize,
                         )
                     })
             };
-            let (Some(ma), Some(mb)) = (pick(self, i, j), pick(self, j, i)) else {
+            let (Some(ma), Some(mb)) = (pick(i, j), pick(j, i)) else {
                 break;
             };
-            self.network
+            let id = self
+                .network
                 .add_link(ma, mb, self.params.link_speed, 1, true)
                 .expect("endpoints exist");
+            tally.count(self.network.link(id).expect("just added"), 1);
             added += 1;
         }
         added
+    }
+}
+
+/// What [`DirectConnectFabric::reconfigure`] picks middle switches by, kept
+/// current as it rewires instead of re-read from the network: per switch,
+/// its block, its ports and, per block, its OCS links there. All by switch
+/// id.
+struct Tally {
+    /// Block index of each switch.
+    block: Vec<Option<usize>>,
+    blocks: usize,
+    /// `links[s * blocks + j]`: switch `s`'s OCS links to block `j`.
+    links: Vec<usize>,
+    /// Ports in use, and ports, of each switch.
+    used: Vec<u32>,
+    radix: Vec<u32>,
+}
+
+impl Tally {
+    fn new(f: &DirectConnectFabric) -> Self {
+        let block = f.block_index();
+        let (ids, blocks) = (block.len(), f.block_ids.len());
+        let mut tally = Self {
+            block,
+            blocks,
+            links: vec![0; ids * blocks],
+            used: vec![0; ids],
+            radix: vec![0; ids],
+        };
+        for s in f.network.switches() {
+            tally.used[s.id.0 as usize] = f.network.ports_used(s.id);
+            tally.radix[s.id.0 as usize] = u32::from(s.radix);
+        }
+        for l in f.network.links() {
+            tally.count_links(l, 1);
+        }
+        tally
+    }
+
+    fn links_to(&self, m: SwitchId, j: usize) -> usize {
+        self.links[m.0 as usize * self.blocks + j]
+    }
+
+    /// [`Network::ports_free`].
+    fn ports_free(&self, m: SwitchId) -> u32 {
+        self.radix[m.0 as usize].saturating_sub(self.used[m.0 as usize])
+    }
+
+    /// Counts a link added (`sign` 1) or removed (-1).
+    fn count(&mut self, l: &Link, sign: i32) {
+        for end in [l.a, l.b] {
+            let used = &mut self.used[end.0 as usize];
+            *used = used.wrapping_add_signed(sign * i32::from(l.trunking));
+        }
+        self.count_links(l, sign as isize);
+    }
+
+    fn count_links(&mut self, l: &Link, sign: isize) {
+        if !l.via_ocs {
+            return;
+        }
+        for (end, other) in [(l.a, l.b), (l.b, l.a)] {
+            if let Some(j) = self.block[other.0 as usize] {
+                let at = end.0 as usize * self.blocks + j;
+                self.links[at] = self.links[at].wrapping_add_signed(sign);
+            }
+        }
     }
 }
 

@@ -8,10 +8,9 @@
 //! experiment E10 compares against catching it in the twin.
 
 use pd_cabling::CablingPlan;
-use pd_geometry::Dollars;
+use pd_geometry::{CapacityRouter, Dollars, RouteEdgeId, RouteNodeId};
 use pd_physical::{Hall, Placement};
 use pd_topology::{Network, SwitchId};
-use std::collections::HashMap;
 
 /// Violation severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -208,59 +207,56 @@ fn check_unrealizable(plan: &CablingPlan, out: &mut Vec<Violation>) {
 }
 
 fn check_bend_radius(plan: &CablingPlan, out: &mut Vec<Violation>) {
-    // The routed polyline for each run: rack-top → tray → rack-top. We
-    // reconstruct it from the tray path nodes; the in-rack tails are
-    // dressed by hand and assumed compliant.
+    // The routed polyline for each run: rack-top → tray → rack-top, walked
+    // along its tray path nodes; the in-rack tails are dressed by hand and
+    // assumed compliant.
+    let router = &plan.tray.router;
     for (i, run) in plan.runs.iter().enumerate() {
         if run.tray_edges.is_empty() {
             continue;
         }
-        // Build node path from edges.
-        let mut nodes = Vec::with_capacity(run.tray_edges.len() + 1);
-        for (j, &e) in run.tray_edges.iter().enumerate() {
-            let (a, b) = plan.tray.router.edge_endpoints(e);
-            if j == 0 {
-                // Orient using the next edge if any.
-                if let Some(&e2) = run.tray_edges.get(1) {
-                    let (c, d) = plan.tray.router.edge_endpoints(e2);
-                    if a == c || a == d {
-                        nodes.push(b);
-                        nodes.push(a);
-                    } else {
-                        nodes.push(a);
-                        nodes.push(b);
-                    }
-                } else {
-                    nodes.push(a);
-                    nodes.push(b);
-                }
-            } else {
-                let last = *nodes.last().expect("seeded above");
-                nodes.push(if a == last { b } else { a });
-            }
-        }
-        let poly = pd_geometry::Polyline::new(
-            nodes
-                .into_iter()
-                .map(|n| plan.tray.router.position(n))
-                .collect(),
-        );
-        let violations = poly.check_bend_radius(run.choice.sku.bend_radius);
-        if !violations.is_empty() {
+        let bends = pd_geometry::bend_violations(
+            tray_path_nodes(router, &run.tray_edges).map(|n| router.position(n)),
+            run.choice.sku.bend_radius,
+        )
+        .count();
+        if bends > 0 {
             out.push(Violation {
                 severity: Severity::Error,
                 code: ViolationCode::BendRadius,
                 message: format!(
-                    "cable {i} ({}, bend radius {:.0} mm) cannot make {} bend(s) on its route",
+                    "cable {i} ({}, bend radius {:.0} mm) cannot make {bends} bend(s) on its route",
                     run.choice.sku.class,
                     run.choice.sku.bend_radius.value(),
-                    violations.len()
                 ),
                 // Re-route/replace a pulled cable.
                 late_remediation: Dollars::new(1_500.0),
             });
         }
     }
+}
+
+/// The nodes along a tray path, from its edges: the first edge is oriented
+/// away from the second, and each later edge continues from the node the
+/// previous one reached.
+fn tray_path_nodes<'a>(
+    router: &'a CapacityRouter,
+    edges: &'a [RouteEdgeId],
+) -> impl Iterator<Item = RouteNodeId> + 'a {
+    let start = edges.first().map(|&e| {
+        let (a, b) = router.edge_endpoints(e);
+        match edges.get(1).map(|&e2| router.edge_endpoints(e2)) {
+            Some((c, d)) if a == c || a == d => b,
+            _ => a,
+        }
+    });
+    let mut last = start;
+    start.into_iter().chain(edges.iter().map(move |&e| {
+        let (a, b) = router.edge_endpoints(e);
+        let next = if Some(a) == last { b } else { a };
+        last = Some(next);
+        next
+    }))
 }
 
 fn check_power(placement: &Placement, out: &mut Vec<Violation>) {
@@ -281,69 +277,101 @@ fn check_power(placement: &Placement, out: &mut Vec<Violation>) {
 
 fn check_tray_spof(net: &Network, plan: &CablingPlan, out: &mut Vec<Violation>) {
     // For each switch with ≥2 network links, check whether EVERY one of its
-    // cables traverses some common tray segment.
-    let mut runs_per_switch: HashMap<SwitchId, Vec<usize>> = HashMap::new();
-    for (i, run) in plan.runs.iter().enumerate() {
-        if let Some(link) = net.link(run.link) {
-            runs_per_switch.entry(link.a).or_default().push(i);
-            runs_per_switch.entry(link.b).or_default().push(i);
+    // cables traverses some common tray segment. Each switch's runs, in run
+    // order, as one flat list indexed by switch id.
+    let ids = net
+        .switches()
+        .map(|s| s.id.0 as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut start = vec![0usize; ids + 1];
+    let ends: Vec<Option<[SwitchId; 2]>> = plan
+        .runs
+        .iter()
+        .map(|run| net.link(run.link).map(|l| [l.a, l.b]))
+        .collect();
+    for end in ends.iter().flatten().flatten() {
+        start[end.0 as usize + 1] += 1;
+    }
+    for s in 1..start.len() {
+        start[s] += start[s - 1];
+    }
+    let mut fill = start.clone();
+    let mut runs = vec![0usize; start[ids]];
+    for (i, end) in ends.iter().enumerate() {
+        for s in end.iter().flatten() {
+            runs[fill[s.0 as usize]] = i;
+            fill[s.0 as usize] += 1;
         }
     }
-    let mut switches: Vec<_> = runs_per_switch.into_iter().collect();
-    switches.sort_by_key(|(s, _)| *s);
-    for (switch, runs) in switches {
+
+    // Intersect *intermediate* tray segments: the first and last edge of a
+    // run are the endpoint rack drops, which trivially shared by a rack's
+    // own cables (a rack has one cable entry — that is rack redundancy, not
+    // tray routing). The SPOF of interest is a shared mid-route segment
+    // that one cut (or small fire, §3.1) severs.
+    let interior = |r: usize| -> &[RouteEdgeId] {
+        let edges = &plan.runs[r].tray_edges;
+        if edges.len() <= 2 {
+            &[]
+        } else {
+            &edges[1..edges.len() - 1]
+        }
+    };
+    // `seen[e]` is how many of a switch's runs, taken in order, all cross
+    // segment `e`: the intersection so far is the first run's segments at
+    // the current count. Only the first run's segments are ever set.
+    let mut seen = vec![0usize; plan.tray.router.edge_count()];
+    for id in 0..ids {
+        let runs = &runs[start[id]..start[id + 1]];
         if runs.len() < 2 {
             continue;
         }
-        // Intersect *intermediate* tray segments: the first and last edge
-        // of a run are the endpoint rack drops, which trivially shared by a
-        // rack's own cables (a rack has one cable entry — that is rack
-        // redundancy, not tray routing). The SPOF of interest is a shared
-        // mid-route segment that one cut (or small fire, §3.1) severs.
-        let interior = |r: usize| -> &[pd_geometry::RouteEdgeId] {
-            let edges = &plan.runs[r].tray_edges;
-            if edges.len() <= 2 {
-                &[]
-            } else {
-                &edges[1..edges.len() - 1]
+        let first = interior(runs[0]);
+        for e in first {
+            seen[e.0] = 1;
+        }
+        let mut all = 1;
+        for (t, &r) in runs.iter().enumerate().skip(1) {
+            let mut common = false;
+            for e in interior(r) {
+                if seen[e.0] == t {
+                    seen[e.0] = t + 1;
+                    common = true;
+                }
             }
-        };
-        let mut iter = runs.iter();
-        let first = interior(*iter.next().expect("len ≥ 2"));
-        if first.is_empty() {
+            if !common {
+                break; // no common segment, or a run with no tray segment
+            }
+            all = t + 1;
+        }
+        // The lowest ids, so the message does not depend on path order.
+        let mut shared: Vec<usize> = first
+            .iter()
+            .map(|e| e.0)
+            .filter(|&e| all == runs.len() && seen[e] == all)
+            .collect();
+        for e in first {
+            seen[e.0] = 0;
+        }
+        if shared.is_empty() {
             continue;
         }
-        let mut common: std::collections::HashSet<_> = first.iter().copied().collect();
-        let mut all_trayed = true;
-        for &r in iter {
-            let mid = interior(r);
-            if mid.is_empty() {
-                all_trayed = false;
-                break;
-            }
-            let set: std::collections::HashSet<_> = mid.iter().copied().collect();
-            common.retain(|e| set.contains(e));
-            if common.is_empty() {
-                break;
-            }
-        }
-        if all_trayed && !common.is_empty() {
-            // The lowest ids, so the message is independent of hash order.
-            let mut shared: Vec<_> = common.iter().map(|e| e.0).collect();
-            shared.sort_unstable();
-            shared.truncate(3);
-            out.push(Violation {
-                severity: Severity::Warning,
-                code: ViolationCode::TraySpof,
-                message: format!(
-                    "{switch}: all {} network cables share tray segment(s) {:?} — one cut isolates it",
-                    runs.len(),
-                    shared
-                ),
-                // Re-route half the uplinks via a diverse tray path.
-                late_remediation: Dollars::new(5_000.0),
-            });
-        }
+        shared.sort_unstable();
+        shared.dedup();
+        shared.truncate(3);
+        out.push(Violation {
+            severity: Severity::Warning,
+            code: ViolationCode::TraySpof,
+            message: format!(
+                "{}: all {} network cables share tray segment(s) {:?} — one cut isolates it",
+                SwitchId(id as u32),
+                runs.len(),
+                shared
+            ),
+            // Re-route half the uplinks via a diverse tray path.
+            late_remediation: Dollars::new(5_000.0),
+        });
     }
 }
 
