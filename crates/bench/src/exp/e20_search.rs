@@ -79,12 +79,20 @@ pub fn run_with(opts: &BatchOptions, control: &BatchControl) -> String {
     } else {
         Vec::new()
     };
-    let cut = |family: &str| {
-        let n = unfinished
-            .iter()
-            .filter(|p| p.family.name() == family)
-            .count();
-        (n > 0).then(|| format!("interrupted: {n} point(s) unfinished"))
+    let cut: Vec<&str> = cfg
+        .space
+        .families
+        .iter()
+        .map(|f| f.name())
+        .filter(|&f| unfinished.iter().any(|p| p.family.name() == f))
+        .collect();
+    let interrupted = if cut.is_empty() {
+        String::new()
+    } else {
+        format!(
+            "  interrupted before all their points finished: {}\n",
+            cut.join(", ")
+        )
     };
 
     let mut out = String::new();
@@ -109,17 +117,15 @@ pub fn run_with(opts: &BatchOptions, control: &BatchControl) -> String {
 
     let axes = default_axes();
     out.push_str("per-family Pareto frontier (cost/server ↓, fault retention ↑, TCO/server ↓, bisection ↑):\n");
-    let fronts = frontier_by_family(records, &axes);
-    for (family, front) in &fronts {
-        if let Some(why) = cut(family) {
-            out.push_str(&format!("  {family:<14} — {why}\n"));
+    for (family, front) in frontier_by_family(records, &axes) {
+        if cut.contains(&family.as_str()) {
             continue;
         }
         if front.is_empty() {
             out.push_str(&format!("  {family:<14} — no feasible point in budget\n"));
             continue;
         }
-        for &i in front {
+        for &i in &front {
             let m = records[i]
                 .metrics
                 .as_ref()
@@ -135,30 +141,13 @@ pub fn run_with(opts: &BatchOptions, control: &BatchControl) -> String {
         }
     }
 
-    // Families with no record at all.
-    let unrecorded: Vec<&str> = cfg
-        .space
-        .families
-        .iter()
-        .map(|f| f.name())
-        .filter(|f| fronts.iter().all(|(family, _)| family != f))
-        .collect();
-    for family in &unrecorded {
-        if let Some(why) = cut(family) {
-            out.push_str(&format!("  {family:<14} — {why}\n"));
-        }
-    }
+    out.push_str(&interrupted);
 
     out.push_str("\nfeasibility envelope along the size axis:\n");
-    let (whole, partial): (Vec<_>, Vec<_>) = map_envelopes(records)
-        .into_iter()
-        .partition(|e| cut(&e.family).is_none());
-    out.push_str(&render_envelopes(&whole));
-    for family in partial.iter().map(|e| e.family.as_str()).chain(unrecorded) {
-        if let Some(why) = cut(family) {
-            out.push_str(&format!("| {family} | — | — | {why} |\n"));
-        }
-    }
+    let mut envelopes = map_envelopes(records);
+    envelopes.retain(|e| !cut.contains(&e.family.as_str()));
+    out.push_str(&render_envelopes(&envelopes));
+    out.push_str(&interrupted);
 
     out.push_str(
         "\npaper says: automation has a capability envelope, and designs should \

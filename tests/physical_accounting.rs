@@ -4,9 +4,10 @@
 //! checker walks each virtual link's physical path and re-sums host-link
 //! load.
 //!
-//! Every family at 256 and 1024 servers, in two halls: the benchmark's
-//! 24×30 hall and a tight hall whose trays hold a few dozen fibers, where
-//! routes detour, trays fill and some links find no path. For each design:
+//! Every family at 256, 1024 and 4096 servers, in two halls: the
+//! benchmark's 24×30 hall and a tight hall whose trays hold a few dozen
+//! fibers, where routes detour, trays fill and some links find no path.
+//! For each design that places:
 //!
 //! - each tray segment's `used` area is the sum of the areas of the runs
 //!   whose `tray_edges` cross it;
@@ -211,7 +212,7 @@ fn physical_artifacts_add_up_for_every_family() {
     for hall_spec in [benchmark_hall(), tight_hall()] {
         let hall = Hall::new(hall_spec);
         let trees = TrayTrees::new(&hall);
-        for servers in [256, 1024] {
+        for servers in [256, 1024, 4096] {
             for (family, topology) in all_families(servers, Gbps::new(100.0), 1) {
                 let spec = DesignSpec::new(format!("{family}-{servers}"), topology);
                 let name = format!(
@@ -239,9 +240,10 @@ fn physical_artifacts_add_up_for_every_family() {
             }
         }
     }
-    // Every design places in the benchmark's hall, and all but one in the
-    // tight hall's 200 slots.
-    assert_eq!(designs, 35, "designs placed");
+    // Every design places in the benchmark's hall; the tight hall's 200
+    // slots take every 256-server design, all but one at 1024 and one at
+    // 4096.
+    assert_eq!(designs, 45, "designs placed");
     assert!(
         failed_links > 0,
         "the tight hall never ran out of tray space"
