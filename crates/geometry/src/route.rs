@@ -46,6 +46,7 @@
 use crate::point::Point3;
 use crate::units::{Meters, SquareMillimeters};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 
 /// Identifier of a node (tray junction or drop point) in a [`CapacityRouter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -433,9 +434,8 @@ struct Search {
     /// last improved over.
     back: Vec<u32>,
     /// Per edge-length class, the `(distance, node)` entries queued over an
-    /// edge of that length, in push order; `heads[k]` of them are taken.
-    queues: Vec<Vec<(f64, u32)>>,
-    heads: Vec<usize>,
+    /// edge of that length, in push order.
+    queues: Vec<VecDeque<(f64, u32)>>,
     /// The nodes at the distance being settled, highest id first.
     batch: Vec<u32>,
 }
@@ -454,20 +454,16 @@ impl Search {
         self.dist.resize(n, f64::INFINITY);
         self.back.clear();
         self.back.resize(n, UNREACHED);
-        let classes = g.lengths.len();
-        if self.queues.len() < classes {
-            self.queues.resize_with(classes, Vec::new);
+        if self.queues.len() < g.lengths.len() {
+            self.queues.resize_with(g.lengths.len(), VecDeque::new);
         }
-        self.queues.iter_mut().for_each(Vec::clear);
-        self.heads.clear();
-        self.heads.resize(classes, 0);
+        self.queues.iter_mut().for_each(VecDeque::clear);
         self.batch.clear();
 
         let Search {
             dist,
             back,
             queues,
-            heads,
             batch,
         } = self;
         dist[src.0] = 0.0;
@@ -498,7 +494,7 @@ impl Search {
                                 let at = batch.partition_point(|&b| b > arc.to);
                                 batch.insert(at, arc.to);
                             } else {
-                                queues[edge.class as usize].push((nd, arc.to));
+                                queues[edge.class as usize].push_back((nd, arc.to));
                             }
                         } else if arc.to == dst {
                             // A leaf's only neighbour is `node`: settled.
@@ -509,10 +505,10 @@ impl Search {
             }
             // The next distance is the smallest live head.
             d = f64::INFINITY;
-            for (queue, head) in queues.iter().zip(heads.iter_mut()) {
-                while let Some(&(qd, node)) = queue.get(*head) {
+            for queue in queues.iter_mut() {
+                while let Some(&(qd, node)) = queue.front() {
                     if qd > dist[node as usize] {
-                        *head += 1; // stale
+                        queue.pop_front(); // stale
                     } else {
                         d = d.min(qd);
                         break;
@@ -522,13 +518,10 @@ impl Search {
             if d == f64::INFINITY {
                 break;
             }
-            for (queue, head) in queues.iter().zip(heads.iter_mut()) {
-                while let Some(&(qd, node)) = queue.get(*head) {
-                    if qd != d {
-                        break;
-                    }
+            for queue in queues.iter_mut() {
+                while let Some(&(_, node)) = queue.front().filter(|&&(qd, _)| qd == d) {
                     batch.push(node);
-                    *head += 1;
+                    queue.pop_front();
                 }
             }
             batch.sort_unstable_by(|a, b| b.cmp(a));

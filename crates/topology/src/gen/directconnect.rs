@@ -373,11 +373,11 @@ impl Tally {
             radix: vec![0; ids],
         };
         for s in f.network.switches() {
-            tally.used[s.id.0 as usize] = f.network.ports_used(s.id);
+            tally.used[s.id.0 as usize] = u32::from(s.server_ports);
             tally.radix[s.id.0 as usize] = u32::from(s.radix);
         }
         for l in f.network.links() {
-            tally.count_links(l, 1);
+            tally.count(l, 1);
         }
         tally
     }
@@ -391,23 +391,16 @@ impl Tally {
         self.radix[m.0 as usize].saturating_sub(self.used[m.0 as usize])
     }
 
-    /// Counts a link added (`sign` 1) or removed (-1).
+    /// Counts a link added (`sign` 1) or removed (-1): its ports at both
+    /// ends ([`Network::ports_used`]) and, if it is an OCS link, each end's
+    /// links to the other's block.
     fn count(&mut self, l: &Link, sign: i32) {
-        for end in [l.a, l.b] {
+        for (end, other) in [(l.a, l.b), (l.b, l.a)] {
             let used = &mut self.used[end.0 as usize];
             *used = used.wrapping_add_signed(sign * i32::from(l.trunking));
-        }
-        self.count_links(l, sign as isize);
-    }
-
-    fn count_links(&mut self, l: &Link, sign: isize) {
-        if !l.via_ocs {
-            return;
-        }
-        for (end, other) in [(l.a, l.b), (l.b, l.a)] {
-            if let Some(j) = self.block[other.0 as usize] {
+            if let Some(j) = self.block[other.0 as usize].filter(|_| l.via_ocs) {
                 let at = end.0 as usize * self.blocks + j;
-                self.links[at] = self.links[at].wrapping_add_signed(sign);
+                self.links[at] = self.links[at].wrapping_add_signed(sign as isize);
             }
         }
     }
